@@ -37,8 +37,8 @@ const (
 	// whole campaign down with it).
 	IsolationInProc Isolation = iota
 	// IsolationProc runs units in supervised worker subprocesses: a host
-	// crash, OOM-kill or wedge costs one worker and at most one in-flight
-	// unit delivery, never the campaign.
+	// crash, OOM-kill or wedge costs one worker and a redelivery of the
+	// units it had in flight, never the campaign.
 	IsolationProc
 )
 
@@ -183,8 +183,9 @@ func WorkerFactory(spec worker.Spec) (worker.Runner, error) {
 
 // campaignRunner executes units inside a worker process. It is a
 // single-worker unitExecutor behind the worker.Runner interface: worker
-// subprocesses are single-threaded unit servers (parallelism lives in the
-// pool, one unit in flight per process), so slot 0 is the only pool.
+// subprocesses are single-threaded unit servers that run their window of
+// units one at a time, in order (parallelism lives in the pool, one
+// process per slot), so slot 0 is the only pool.
 type campaignRunner struct {
 	units []runUnit
 	ex    *unitExecutor

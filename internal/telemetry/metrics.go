@@ -460,7 +460,7 @@ type WorkerMetrics struct {
 	Redeliveries    *Counter   // units redelivered after killing a worker
 	Quarantines     *Counter   // units quarantined after exhausting deliveries
 	HeartbeatGap    *Histogram // µs between received heartbeats, per worker
-	DeliveryLatency *Histogram // µs from unit dispatch to verdict
+	DeliveryLatency *Histogram // µs to a verdict from the later of its dispatch and the previous verdict
 	BreakerOpen     *Gauge     // 1 once the restart circuit breaker tripped
 	FramesRejected  *Counter   // pipe frames dropped for a CRC mismatch
 }

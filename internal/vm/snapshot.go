@@ -3,8 +3,9 @@ package vm
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/fnv"
-	"sort"
+	"hash/crc32"
+	"slices"
+	"sync"
 )
 
 // Snapshot/Restore is the mechanism behind golden-run checkpointing: the
@@ -74,6 +75,14 @@ func (s *Snapshot) Cycles() uint64 { return s.cycles }
 // owned); a cost observability hook for tests and stats.
 func (s *Snapshot) Pages() int { return len(s.pages) }
 
+// hdrPool recycles Checksum's header buffers: the CRC functions keep
+// their input on the heap, so a fresh buffer per call would allocate.
+var hdrPool = sync.Pool{New: func() any { b := make([]byte, 0, 1024); return &b }}
+
+// castagnoli is the CRC-32C table; crc32 uses the CPU's CRC instruction
+// for it where there is one.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
 // Checksum fingerprints the snapshot's full restorable state: registers,
 // control state, I/O streams, geometry and every carried page (in address
 // order, so the map's iteration order cannot leak in). Restoring a snapshot
@@ -81,17 +90,25 @@ func (s *Snapshot) Pages() int { return len(s.pages) }
 // would resurrect corrupted machine state, which is why the campaign
 // executor verifies it before every fast-forward and degrades to straight
 // execution on mismatch.
+//
+// The sum is CRC-32C in the high word and CRC-32 (IEEE) in the low word,
+// both over one serialized header followed by the pages. Both CRCs are
+// hardware-assisted, so verifying costs a small fraction of the unit it
+// guards, and two independent 32-bit codes catch what either one alone
+// might miss.
 func (s *Snapshot) Checksum() uint64 {
-	h := fnv.New64a()
-	var b [8]byte
-	w32 := func(v uint32) {
-		binary.LittleEndian.PutUint32(b[:4], v)
-		h.Write(b[:4])
+	// Verify runs before every fast-forward, so the common snapshot (a few
+	// pages, short I/O streams) is hashed without allocating.
+	var idxBuf [32]uint32
+	idx := idxBuf[:0]
+	for pi := range s.pages {
+		idx = append(idx, pi)
 	}
-	w64 := func(v uint64) {
-		binary.LittleEndian.PutUint64(b[:], v)
-		h.Write(b[:])
-	}
+	slices.Sort(idx)
+
+	bp := hdrPool.Get().(*[]byte)
+	b := (*bp)[:0]
+	w32 := func(v uint32) { b = binary.LittleEndian.AppendUint32(b, v) }
 	for _, r := range s.regs {
 		w32(r)
 	}
@@ -106,7 +123,7 @@ func (s *Snapshot) Checksum() uint64 {
 	w32(uint32(s.exc))
 	w32(s.excAt)
 	w32(uint32(s.exitStatus))
-	w64(s.cycles)
+	b = binary.LittleEndian.AppendUint64(b, s.cycles)
 
 	w32(uint32(len(s.input)))
 	for _, v := range s.input {
@@ -114,10 +131,10 @@ func (s *Snapshot) Checksum() uint64 {
 	}
 	w32(uint32(s.inPos))
 	w32(uint32(len(s.inBytes)))
-	h.Write(s.inBytes)
+	b = append(b, s.inBytes...)
 	w32(uint32(s.inBPos))
 	w32(uint32(len(s.output)))
-	h.Write(s.output)
+	b = append(b, s.output...)
 
 	if s.textDirty {
 		w32(1)
@@ -137,17 +154,23 @@ func (s *Snapshot) Checksum() uint64 {
 	w32(s.textEnd)
 	w32(s.dataBase)
 	w32(uint32(s.textLen))
-
-	idx := make([]uint32, 0, len(s.pages))
-	for pi := range s.pages {
-		idx = append(idx, pi)
-	}
-	sort.Slice(idx, func(i, j int) bool { return idx[i] < idx[j] })
+	w32(uint32(len(idx)))
 	for _, pi := range idx {
 		w32(pi)
-		h.Write(s.pages[pi])
 	}
-	return h.Sum64()
+
+	hi := crc32.Update(0, castagnoli, b)
+	lo := crc32.ChecksumIEEE(b)
+	if cap(b) <= 64<<10 { // a rare huge header is not kept alive
+		*bp = b[:0]
+		hdrPool.Put(bp)
+	}
+	for _, pi := range idx {
+		pg := s.pages[pi]
+		hi = crc32.Update(hi, castagnoli, pg)
+		lo = crc32.Update(lo, crc32.IEEETable, pg)
+	}
+	return uint64(hi)<<32 | uint64(lo)
 }
 
 // Snapshot captures the machine's current execution state. It returns nil if

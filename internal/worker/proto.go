@@ -2,8 +2,8 @@
 // layer: units run in supervised worker subprocesses that speak a
 // length-prefixed, versioned binary protocol over stdin/stdout, so a hard
 // host failure — an OS OOM-kill, a runaway allocation, a stuck syscall —
-// costs one worker process and at most one in-flight unit, never the
-// campaign.
+// costs one worker process and a redelivery of the units it had in flight,
+// never the campaign.
 //
 // The package has two halves. Serve is the worker side: a re-exec'd binary
 // (swifi -worker-mode and friends) reads a Spec, builds a Runner from it,
@@ -36,8 +36,16 @@
 // encoding, so a verdict appends to a campaign journal byte-for-byte. A
 // verdict with last set is the worker's final answer (it recycles itself —
 // e.g. its RSS crossed the memory quota) and the supervisor respawns it
-// without penalty. Frames above MaxFrame, unknown types, short reads, and
-// checksum mismatches are protocol errors: the supervisor kills the worker
+// without penalty.
+//
+// Delivery is pipelined: the supervisor keeps a window of exec frames in
+// flight per worker and the worker answers them strictly in order,
+// coalescing its verdict frames into few writes (Serve documents the
+// flush rules, poolRun.orphan the crash attribution). The frames
+// themselves are the same as for a lock-step exchange.
+//
+// Frames above MaxFrame, unknown types, short reads, and checksum
+// mismatches are protocol errors: the supervisor kills the worker
 // and redelivers. Version 2 put the trailing CRC on the pipe frames too
 // (version 1 had it only on the fabric's TCP framing), so a corrupted or
 // torn frame severs and restarts the worker through the ordinary
@@ -204,17 +212,25 @@ var ErrFrameCRC = errors.New("worker: frame checksum mismatch")
 //
 //	length u32 | type u8 | payload | crc32 u32   (length counts type+payload+crc)
 func WriteFrameCRC(w io.Writer, typ uint8, payload []byte) error {
-	if len(payload)+5 > MaxFrame {
-		return fmt.Errorf("worker: frame type %d overflows MaxFrame (%d bytes)", typ, len(payload))
+	buf, err := appendFrameCRC(nil, typ, payload)
+	if err != nil {
+		return err
 	}
-	buf := make([]byte, 9+len(payload))
-	binary.LittleEndian.PutUint32(buf[0:4], uint32(1+len(payload)+4))
-	buf[4] = typ
-	copy(buf[5:], payload)
-	crc := crc32.ChecksumIEEE(buf[4 : 5+len(payload)])
-	binary.LittleEndian.PutUint32(buf[5+len(payload):], crc)
-	_, err := w.Write(buf)
+	_, err = w.Write(buf)
 	return err
+}
+
+// appendFrameCRC appends one CRC-protected frame to buf, so several frames
+// can leave in a single write.
+func appendFrameCRC(buf []byte, typ uint8, payload []byte) ([]byte, error) {
+	if len(payload)+5 > MaxFrame {
+		return buf, fmt.Errorf("worker: frame type %d overflows MaxFrame (%d bytes)", typ, len(payload))
+	}
+	start := len(buf)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(1+len(payload)+4))
+	buf = append(buf, typ)
+	buf = append(buf, payload...)
+	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf[start+4:])), nil
 }
 
 // ReadFrameCRC reads one CRC-protected frame and verifies its trailing

@@ -52,14 +52,16 @@ type Options struct {
 	HeartbeatTimeout  time.Duration
 
 	// UnitTimeout, when positive, bounds one unit's wall clock. The
-	// supervisor's hard deadline per delivery is 2*UnitTimeout +
-	// HeartbeatTimeout: the worker enforces the same timeout internally and
-	// reports a host fault, so the supervisor's deadline only fires when the
-	// worker is too wedged to do even that.
+	// supervisor's hard deadline per unit is 2*UnitTimeout +
+	// HeartbeatTimeout, counted from when the unit becomes the oldest
+	// unanswered one of its worker: the worker enforces the same timeout
+	// internally and reports a host fault, so the supervisor's deadline
+	// only fires when the worker is too wedged to do even that.
 	UnitTimeout time.Duration
 
 	// MaxDeliveries is how many workers a unit may take down before it is
-	// quarantined with the Quarantine outcome (default 2: one retry).
+	// quarantined with the Quarantine outcome (default 2: one retry). Only
+	// a death the unit is known to have caused counts (see orphan).
 	MaxDeliveries int
 
 	// MaxRestarts is the pool-wide churn budget: abnormal worker deaths
@@ -73,7 +75,8 @@ type Options struct {
 	BackoffMax  time.Duration
 
 	// MemQuota is the worker RSS self-recycle threshold in bytes
-	// (default 2GiB; negative disables).
+	// (default 2GiB; negative disables). Workers check it on each
+	// heartbeat tick.
 	MemQuota int64
 
 	// Quarantine is the outcome recorded for a unit that exhausted
@@ -152,17 +155,35 @@ func NewPool(opts Options) (*Pool, error) {
 	return &Pool{opts: opts}, nil
 }
 
+// window is how many units a worker slot keeps in flight. The supervisor
+// tops a window up, in one write, once half of it has been answered, and
+// the worker runs it in order and coalesces its verdicts, so a unit costs
+// a fraction of a pipe round trip instead of two context switches. It is
+// a constant, not a tunable: a deeper window saves little more and widens
+// the set of units a worker death leaves unattributed. A run too small to
+// give every slot a few full windows uses a shallower one (see Run), so
+// its units still spread over all the workers.
+const window = 32
+
 // job is one unit delivery attempt.
 type job struct {
 	index      int
-	deliveries int // completed deliveries so far (crashes consumed)
+	deliveries int       // worker deaths this unit has been charged with
+	sent       time.Time // when its exec frame was written (metrics only)
 }
 
 // poolRun is the shared state of one Pool.Run call.
 type poolRun struct {
 	opts *Options
-	jobs chan job
-	done chan struct{} // closed when every unit has a final answer
+	// jobs holds units that join a window; solo holds units delivered
+	// alone — suspects of a death nobody could be charged with, and units
+	// charged with one — so that a death on them is attributed exactly.
+	// Each unit sits in at most one place, so both are sized to the run
+	// and sends never block.
+	jobs  chan job
+	solo  chan job
+	depth int           // units a slot keeps in flight, at most window
+	done  chan struct{} // closed when every unit has a final answer
 
 	mu        sync.Mutex
 	remaining int
@@ -185,6 +206,7 @@ func (p *Pool) Run(ctx context.Context, indices []int, onResult func(Result) err
 	r := &poolRun{
 		opts:      &p.opts,
 		jobs:      make(chan job, len(indices)),
+		solo:      make(chan job, len(indices)),
 		done:      make(chan struct{}),
 		remaining: len(indices),
 		onResult:  onResult,
@@ -197,6 +219,10 @@ func (p *Pool) Run(ctx context.Context, indices []int, onResult func(Result) err
 	if workers > len(indices) {
 		workers = len(indices) // never spawn a process with nothing to do
 	}
+	// Every slot should cycle through its window a few times: a small run
+	// of heavy units must not queue behind the first worker to start while
+	// the others idle.
+	r.depth = min(window, max(1, len(indices)/(4*workers)))
 	var wg sync.WaitGroup
 	for i := 0; i < workers; i++ {
 		wg.Add(1)
@@ -285,9 +311,36 @@ func (r *poolRun) isTripped() bool {
 	return r.tripped
 }
 
-// requeue puts a unit back after its worker died mid-delivery, or
-// quarantines it when deliveries are exhausted.
-func (r *poolRun) requeue(j job) {
+// orphan settles the units a worker left unanswered when it died
+// abnormally. The worker runs its window in order but buffers verdicts, so
+// with more than one unit outstanding nobody can tell which one it died
+// on: they all go back uncharged, as suspects delivered alone. A unit
+// outstanding alone is the one the worker died on and is charged with the
+// death. An innocent unit is thus never charged, and a unit that kills
+// every worker is still quarantined, one respawn later than it would be
+// without the window.
+func (r *poolRun) orphan(slot int, lost []job) {
+	switch len(lost) {
+	case 0:
+	case 1:
+		r.charge(lost[0])
+	default:
+		units := make([]int, len(lost))
+		for i, j := range lost {
+			units[i] = j.index
+			if m := r.opts.Metrics; m != nil {
+				m.Redeliveries.Inc()
+			}
+			r.opts.Tracer.Emit(telemetry.Event{Kind: telemetry.KindRedeliver, Unit: j.index, Detail: "suspect"})
+			r.solo <- j
+		}
+		r.opts.logf("worker[%d]: units %v unanswered at death; redelivered alone as suspects, uncharged", slot, units)
+	}
+}
+
+// charge counts a worker death against the unit it died on and delivers
+// it again alone, or quarantines it when deliveries are exhausted.
+func (r *poolRun) charge(j job) {
 	j.deliveries++
 	if j.deliveries >= r.opts.MaxDeliveries {
 		if m := r.opts.Metrics; m != nil {
@@ -303,7 +356,17 @@ func (r *poolRun) requeue(j job) {
 	}
 	r.opts.Tracer.Emit(telemetry.Event{Kind: telemetry.KindRedeliver, Unit: j.index})
 	r.opts.logf("worker: unit %d redelivered (attempt %d/%d)", j.index, j.deliveries+1, r.opts.MaxDeliveries)
-	r.jobs <- j
+	r.solo <- j
+}
+
+// putBack returns a unit taken for a worker that turned out to be dead
+// before the unit was sent, to the queue it came from, uncharged.
+func (r *poolRun) putBack(j job, solo bool) {
+	if solo {
+		r.solo <- j
+	} else {
+		r.jobs <- j
+	}
 }
 
 // manage is one worker slot's lifecycle loop: spawn (with backoff), drain
@@ -418,104 +481,185 @@ func (r *poolRun) serve(ctx context.Context, slot int, w *liveWorker) bool {
 		break
 	}
 
-	// Serve loop: pull a job, deliver it, await its verdict under the
-	// silence timer and (when configured) a per-delivery hard deadline.
-	// One timer is reused across deliveries; it is re-armed per unit and
-	// parked between them.
+	// Serve loop. inflight holds the units sent to this worker and not yet
+	// answered, in the order the worker runs them. A unit from r.solo is
+	// sent only into an empty window, and nothing joins it until it is
+	// answered; r.solo goes first whenever the window is empty.
+	var (
+		inflight    []job
+		solo        bool
+		batch       []job
+		lastVerdict time.Time
+		hard        <-chan time.Time
+	)
 	hardTimer := time.NewTimer(time.Hour)
 	hardTimer.Stop()
 	defer hardTimer.Stop()
+	// headChanged re-arms the hard deadline for the unit at the head of the
+	// window: the worker starts it once everything before it has finished.
+	// Heartbeats do not re-arm it.
+	headChanged := func() {
+		if r.opts.UnitTimeout <= 0 {
+			return
+		}
+		if len(inflight) == 0 {
+			hardTimer.Stop()
+			hard = nil
+			return
+		}
+		resetTimer(hardTimer, 2*r.opts.UnitTimeout+r.opts.HeartbeatTimeout)
+		hard = hardTimer.C
+	}
+	// died logs an abnormal death and settles the units it left unanswered.
+	died := func(format string, args ...any) bool {
+		r.opts.logf("worker[%d]: "+format, append([]any{slot}, args...)...)
+		r.orphan(slot, inflight)
+		return false
+	}
 	for {
-		var j job
+		batch = batch[:0]
+		if len(inflight) == 0 {
+			solo = false
+			select {
+			case j := <-r.solo:
+				batch, solo = append(batch, j), true
+			default:
+				select {
+				case <-ctx.Done():
+					return true
+				case <-r.done:
+					return true
+				case j := <-r.solo:
+					batch, solo = append(batch, j), true
+				case j := <-r.jobs:
+					batch = append(batch, j)
+				}
+			}
+			// Read what the worker sent while it idled: a death in there is
+			// not the fault of the unit about to be sent. An idle worker is
+			// not watched otherwise, so one that dies waiting for work is
+			// not respawned before there is work for it.
+		drain:
+			for {
+				select {
+				case fr, ok := <-w.frames:
+					if !ok {
+						r.putBack(batch[0], solo)
+						return died("died while idle: %v", w.readErr())
+					}
+					switch fr.typ {
+					case msgHeartbeat:
+						beat()
+					case msgError:
+						r.abort(fmt.Errorf("worker[%d]: %s", slot, fr.payload))
+						return true
+					default:
+						r.putBack(batch[0], solo)
+						return died("unexpected frame type %d while idle", fr.typ)
+					}
+				default:
+					break drain
+				}
+			}
+		}
+		// While units wait to be delivered alone, a window is left to
+		// drain instead of topped up, so they reach warm workers too,
+		// not only freshly respawned ones that must rebuild their golden
+		// runs first.
+		if !solo && len(inflight) <= r.depth/2 && len(r.solo) == 0 {
+		fill:
+			for len(inflight)+len(batch) < r.depth {
+				select {
+				case j := <-r.jobs:
+					batch = append(batch, j)
+				default:
+					break fill
+				}
+			}
+		}
+		if len(batch) > 0 {
+			for _, j := range batch {
+				if j.index >= w.units {
+					// The worker planned fewer units than the supervisor;
+					// its fingerprint matched so this is unreachable in
+					// practice, but an out-of-range exec would kill the
+					// worker and burn a delivery.
+					r.abort(fmt.Errorf("worker[%d]: plan has %d units, supervisor wants unit %d", slot, w.units, j.index))
+					return true
+				}
+			}
+			if m := r.opts.Metrics; m != nil && m.DeliveryLatency != nil {
+				now := time.Now()
+				for i := range batch {
+					batch[i].sent = now
+				}
+			}
+			idle := len(inflight) == 0
+			inflight = append(inflight, batch...)
+			if err := w.sendExecs(batch); err != nil {
+				return died("delivering %d units: %v", len(batch), err)
+			}
+			if idle {
+				headChanged()
+				resetTimer(deadline, r.opts.HeartbeatTimeout)
+			}
+		}
+
 		select {
 		case <-ctx.Done():
 			return true
 		case <-r.done:
 			return true
-		case j = <-r.jobs:
-		}
-
-		if j.index >= w.units {
-			// The worker planned fewer units than the supervisor; its
-			// fingerprint matched so this is unreachable in practice, but an
-			// out-of-range exec would kill the worker and burn a delivery.
-			r.abort(fmt.Errorf("worker[%d]: plan has %d units, supervisor wants unit %d", slot, w.units, j.index))
-			return true
-		}
-		var sent time.Time
-		if m := r.opts.Metrics; m != nil && m.DeliveryLatency != nil {
-			sent = time.Now()
-		}
-		var ix [4]byte
-		binary.LittleEndian.PutUint32(ix[:], uint32(j.index))
-		if err := w.send(msgExec, ix[:]); err != nil {
-			r.opts.logf("worker[%d]: delivering unit %d: %v", slot, j.index, err)
-			r.requeue(j)
-			return false
-		}
-
-		var hard <-chan time.Time
-		if r.opts.UnitTimeout > 0 {
-			resetTimer(hardTimer, 2*r.opts.UnitTimeout+r.opts.HeartbeatTimeout)
-			hard = hardTimer.C
-		}
-		resetTimer(deadline, r.opts.HeartbeatTimeout)
-
-	await:
-		for {
-			select {
-			case <-ctx.Done():
+		case <-deadline.C:
+			return died("silent for %v with %d units in flight; killing", r.opts.HeartbeatTimeout, len(inflight))
+		case <-hard:
+			return died("unit %d exceeded the hard deadline; killing", inflight[0].index)
+		case fr, ok := <-w.frames:
+			if !ok {
+				return died("died with %d units in flight: %v", len(inflight), w.readErr())
+			}
+			resetTimer(deadline, r.opts.HeartbeatTimeout)
+			switch fr.typ {
+			case msgHeartbeat:
+				beat()
+			case msgError:
+				r.abort(fmt.Errorf("worker[%d]: %s", slot, fr.payload))
 				return true
-			case <-r.done:
-				return true
-			case <-deadline.C:
-				r.opts.logf("worker[%d]: silent for %v on unit %d; killing", slot, r.opts.HeartbeatTimeout, j.index)
-				r.requeue(j)
-				return false
-			case <-hard:
-				r.opts.logf("worker[%d]: unit %d exceeded the hard deadline; killing", slot, j.index)
-				r.requeue(j)
-				return false
-			case fr, ok := <-w.frames:
-				if !ok {
-					r.opts.logf("worker[%d]: died on unit %d: %v", slot, j.index, w.readErr())
-					r.requeue(j)
-					return false
+			case msgVerdict:
+				v, err := decodeVerdict(fr.payload)
+				if err != nil {
+					return died("%v", err)
 				}
-				resetTimer(deadline, r.opts.HeartbeatTimeout)
-				switch fr.typ {
-				case msgHeartbeat:
-					beat()
-					continue
-				case msgError:
-					r.abort(fmt.Errorf("worker[%d]: %s", slot, fr.payload))
+				j := inflight[0]
+				if int(v.Unit) != j.index {
+					return died("verdict for unit %d, expected %d", v.Unit, j.index)
+				}
+				if m := r.opts.Metrics; m != nil && m.DeliveryLatency != nil {
+					// Verdicts of a window arrive back to back, so each is
+					// timed from the later of its own send and the previous
+					// verdict: the time the worker could have spent on it.
+					now := time.Now()
+					start := j.sent
+					if lastVerdict.After(start) {
+						start = lastVerdict
+					}
+					m.DeliveryLatency.Observe(uint64(now.Sub(start).Microseconds()))
+					lastVerdict = now
+				}
+				inflight = inflight[1:]
+				r.finish(Result{Index: j.index, Outcome: v.Outcome, Payload: v.Payload})
+				if v.Last {
+					// A self-recycle is not a death: the rest of the window
+					// goes back uncharged, to whichever worker is free.
+					r.opts.logf("worker[%d]: self-recycled after unit %d (memory quota)", slot, j.index)
+					for _, j := range inflight {
+						r.jobs <- j
+					}
 					return true
-				case msgVerdict:
-					v, err := decodeVerdict(fr.payload)
-					if err != nil {
-						r.opts.logf("worker[%d]: %v", slot, err)
-						r.requeue(j)
-						return false
-					}
-					if int(v.Unit) != j.index {
-						r.opts.logf("worker[%d]: verdict for unit %d, expected %d", slot, v.Unit, j.index)
-						r.requeue(j)
-						return false
-					}
-					if m := r.opts.Metrics; m != nil && m.DeliveryLatency != nil {
-						m.DeliveryLatency.ObserveSince(sent)
-					}
-					r.finish(Result{Index: j.index, Outcome: v.Outcome, Payload: v.Payload})
-					if v.Last {
-						r.opts.logf("worker[%d]: self-recycled after unit %d (memory quota)", slot, j.index)
-						return true
-					}
-					break await
-				default:
-					r.opts.logf("worker[%d]: unexpected frame type %d", slot, fr.typ)
-					r.requeue(j)
-					return false
 				}
+				headChanged()
+			default:
+				return died("unexpected frame type %d", fr.typ)
 			}
 		}
 	}
@@ -534,6 +678,7 @@ type liveWorker struct {
 	frames chan frame
 	units  int // unit count from the worker's ready frame
 	met    *telemetry.WorkerMetrics
+	wbuf   []byte // exec batch being written
 
 	mu   sync.Mutex
 	rerr error
@@ -563,7 +708,9 @@ func spawn(opts *Options) (*liveWorker, error) {
 	if opts.WrapPipes != nil {
 		in, out = opts.WrapPipes(stdin, stdout)
 	}
-	w := &liveWorker{cmd: cmd, stdin: in, frames: make(chan frame, 16), met: opts.Metrics}
+	// frames has room for a whole window of verdicts, so the reader never
+	// waits on the supervisor in the middle of a coalesced batch.
+	w := &liveWorker{cmd: cmd, stdin: in, frames: make(chan frame, window), met: opts.Metrics}
 	go w.pump(out)
 
 	var memQuota uint64
@@ -619,8 +766,16 @@ func (w *liveWorker) readErr() error {
 	return w.rerr
 }
 
-func (w *liveWorker) send(typ uint8, payload []byte) error {
-	return WriteFrameCRC(w.stdin, typ, payload)
+// sendExecs writes the exec frames for a batch of units in one write.
+func (w *liveWorker) sendExecs(batch []job) error {
+	w.wbuf = w.wbuf[:0]
+	var ix [4]byte
+	for _, j := range batch {
+		binary.LittleEndian.PutUint32(ix[:], uint32(j.index))
+		w.wbuf, _ = appendFrameCRC(w.wbuf, msgExec, ix[:]) // a 4-byte payload always fits
+	}
+	_, err := w.stdin.Write(w.wbuf)
+	return err
 }
 
 // kill tears the worker down unconditionally and reaps it. Safe to call

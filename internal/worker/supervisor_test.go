@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"repro/internal/journal"
+	"repro/internal/telemetry"
 )
 
 // The supervisor tests run real subprocesses: the test binary re-executes
@@ -48,6 +49,14 @@ func (r *helperRunner) Run(unit int) (journal.Outcome, []byte, error) {
 		// SIGSTOP freezes the whole process, heartbeat goroutine included —
 		// exactly the "alive but wedged" shape the silence timer exists for.
 		syscall.Kill(os.Getpid(), syscall.SIGSTOP)
+	}
+	if unit == envInt("SWIFI_WORKER_TEST_HANG_UNIT", -1) && claimFlag() {
+		// Stuck in the unit while the heartbeat goroutine keeps beating:
+		// only the hard per-unit deadline can catch this.
+		time.Sleep(time.Hour)
+	}
+	if us := envInt("SWIFI_WORKER_TEST_UNIT_US", 0); us > 0 {
+		time.Sleep(time.Duration(us) * time.Microsecond)
 	}
 	return expectedOutcome(unit), []byte(fmt.Sprintf("u%d", unit)), nil
 }
@@ -327,5 +336,145 @@ func TestPoolCallbackErrorAborts(t *testing.T) {
 	err = pool.Run(context.Background(), indices, func(Result) error { return boom })
 	if !errors.Is(err, boom) {
 		t.Fatalf("want the callback error, got %v", err)
+	}
+}
+
+// windowOptions runs the window tests on a single worker, so units reach
+// it in index order and a unit dies with later units in its window.
+func windowOptions(units int, extraEnv ...string) (Options, *telemetry.WorkerMetrics, *logLines) {
+	opts := testOptions("echo", units, extraEnv...)
+	opts.Workers = 1
+	met := telemetry.NewWorkerMetrics(telemetry.NewRegistry())
+	opts.Metrics = met
+	logs := &logLines{}
+	opts.Log = logs.add
+	return opts, met, logs
+}
+
+// logLines collects the pool's supervision log.
+type logLines struct {
+	mu    sync.Mutex
+	lines []string
+}
+
+func (l *logLines) add(format string, args ...any) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.lines = append(l.lines, fmt.Sprintf(format, args...))
+}
+
+func (l *logLines) count(substr string) int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	n := 0
+	for _, line := range l.lines {
+		if strings.Contains(line, substr) {
+			n++
+		}
+	}
+	return n
+}
+
+func TestPoolWindowKillChargesNobody(t *testing.T) {
+	// The worker dies on unit 20 once, with later units of its window
+	// unanswered. Nobody can tell which unit it died on, so nobody is
+	// charged: even with no retry allowed (MaxDeliveries 1), no unit is
+	// quarantined and every verdict is the true one.
+	flag := t.TempDir() + "/died"
+	opts, met, logs := windowOptions(64,
+		"SWIFI_WORKER_TEST_DIE_UNIT=20",
+		"SWIFI_WORKER_TEST_FLAG="+flag)
+	opts.MaxDeliveries = 1
+	start := time.Now()
+	got, err := collect(t, opts, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	elapsed := time.Since(start)
+	verify(t, got, 64)
+	if _, err := os.Stat(flag); err != nil {
+		t.Fatal("the scripted mid-window kill never happened; the test proved nothing")
+	}
+	if logs.count("redelivered alone as suspects") != 1 || met.Redeliveries.Value() < 2 {
+		t.Fatalf("want one suspect redelivery of the whole window, got %d log lines and %d redeliveries",
+			logs.count("redelivered alone as suspects"), met.Redeliveries.Value())
+	}
+	if q := met.Quarantines.Value(); q != 0 {
+		t.Fatalf("%d units quarantined", q)
+	}
+	// Each verdict is timed from the later of its send and the previous
+	// verdict, so one worker's latencies never overlap: they add up to at
+	// most the run's wall time, however deep the window.
+	if n := met.DeliveryLatency.Count(); n != 64 {
+		t.Fatalf("%d delivery latencies observed, want one per unit", n)
+	}
+	if sum := met.DeliveryLatency.Sum(); sum > uint64(elapsed.Microseconds()) {
+		t.Fatalf("delivery latencies sum to %dµs, more than the run's %v", sum, elapsed)
+	}
+}
+
+func TestPoolWindowCrasherQuarantinedOnce(t *testing.T) {
+	// Unit 40 kills every worker. The first death leaves a window of
+	// suspects; delivered alone, unit 40 is charged with each later death
+	// and quarantined after MaxDeliveries of them — one respawn more than
+	// without the window, and no other unit is touched.
+	opts, met, _ := windowOptions(100, "SWIFI_WORKER_TEST_DIE_UNIT=40")
+	opts.MaxDeliveries = 2
+	opts.MaxRestarts = 100
+	got, err := collect(t, opts, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	verify(t, got, 100, 40)
+	if q := met.Quarantines.Value(); q != 1 {
+		t.Fatalf("%d quarantines, want exactly unit 40", q)
+	}
+	if r := met.Restarts.Value(); r != uint64(opts.MaxDeliveries)+1 {
+		t.Fatalf("%d worker restarts, want %d (MaxDeliveries plus the unattributed first death)", r, opts.MaxDeliveries+1)
+	}
+}
+
+func TestPoolHardDeadlineWhileHeartbeating(t *testing.T) {
+	// Unit 10 never finishes, but the worker keeps heartbeating, so the
+	// silence timer never fires: the hard per-unit deadline must kill it.
+	flag := t.TempDir() + "/hung"
+	opts, _, logs := windowOptions(40,
+		"SWIFI_WORKER_TEST_HANG_UNIT=10",
+		"SWIFI_WORKER_TEST_FLAG="+flag)
+	opts.HeartbeatTimeout = 400 * time.Millisecond
+	opts.UnitTimeout = 50 * time.Millisecond
+	got, err := collect(t, opts, 40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	verify(t, got, 40)
+	if _, err := os.Stat(flag); err != nil {
+		t.Fatal("the scripted hang never happened; the test proved nothing")
+	}
+	if logs.count("unit 10 exceeded the hard deadline") != 1 {
+		t.Fatalf("want the hard deadline to kill the worker on unit 10; log: %q", logs.lines)
+	}
+	if logs.count("silent for") != 0 {
+		t.Fatal("the silence timer fired although the worker kept heartbeating")
+	}
+}
+
+func TestPoolMemQuotaSelfRecycle(t *testing.T) {
+	// A one-byte quota puts every worker over it at its first heartbeat
+	// tick; the next verdict is its last. Every unit completes, and the
+	// recycles are not churn: one counted restart would trip the breaker.
+	opts, met, logs := windowOptions(60, "SWIFI_WORKER_TEST_UNIT_US=2000")
+	opts.MemQuota = 1
+	opts.MaxRestarts = 1
+	got, err := collect(t, opts, 60)
+	if err != nil {
+		t.Fatal(err)
+	}
+	verify(t, got, 60)
+	if logs.count("self-recycled") == 0 {
+		t.Fatal("no worker self-recycled; the test proved nothing")
+	}
+	if r := met.Restarts.Value(); r != 0 {
+		t.Fatalf("%d self-recycles counted as churn", r)
 	}
 }

@@ -63,13 +63,16 @@ EXEC1=$!
 # chaos must cost time, never verdicts. The pipe rates are an order of
 # magnitude below the single-host disk smoke's: every CRC sever here
 # costs a worker respawn AND rides on fabric link chaos, so ~10 expected
-# severs over the campaign's ~6.5k frames proves the restart/redeliver
-# path without grinding the pool into respawn churn (the asserted
-# 'redelivered' line below fails the drill if chaos never bites).
+# severs over the campaign's units proves the restart/redeliver path
+# without grinding the pool into respawn churn (the asserted
+# 'redelivered' line below fails the drill if chaos never bites). Faults
+# are drawn per pipe write and read; the pipelined pool moves a window
+# of frames in each, hence six times the rates one-frame-per-write
+# delivery needed for the same severs.
 ./swifi -fabric-join 127.0.0.1:9372 -workers 2 \
   -fabric-dial-timeout 60s -fabric-reconnect-window 120s \
   -isolation proc -proc-max-deliveries 10 -proc-max-restarts 10000 \
-  -chaos 'seed=9,corrupt=0.01,drop=0.01,pipe.corrupt=0.001,pipe.truncate=0.0005' 2> exec2.log &
+  -chaos 'seed=9,corrupt=0.01,drop=0.01,pipe.corrupt=0.006,pipe.truncate=0.003' 2> exec2.log &
 EXEC2=$!
 
 # Wait for the disk chaos to bite the journal (seed 53 faults the fifth

@@ -57,8 +57,11 @@ fi
 # path (asserted below) without grinding the pool into respawn churn —
 # and the delivery/restart headroom keeps the seeded bad luck from
 # quarantining a unit or tripping the breaker: chaos must cost time,
-# never verdicts.
-PIPE='seed=9,pipe.corrupt=0.002,pipe.truncate=0.0005,pipe.reset=0.0005'
+# never verdicts. Faults are drawn per pipe write and read, and the
+# pipelined worker pool moves a window of frames in each, so the rates
+# are six times what one-frame-per-write delivery needed for the same
+# few dozen severs.
+PIPE='seed=9,pipe.corrupt=0.012,pipe.truncate=0.003,pipe.reset=0.003'
 ./swifi -scale 0.05 -seed 7 -journal chaos.wal -resume \
   -isolation proc -proc-max-deliveries 10 -proc-max-restarts 10000 \
   -chaos "$PIPE" -report report.json \
