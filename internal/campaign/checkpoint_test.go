@@ -9,6 +9,7 @@ import (
 	"repro/internal/injector"
 	"repro/internal/locator"
 	"repro/internal/programs"
+	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
 
@@ -36,9 +37,12 @@ func factsOf(r RunResult) ffFacts {
 // against the straight path for every Table 4 program, both fault classes
 // and both injector modes: failure mode, machine state, exception, output,
 // cycle count, exit status and the activation indicator must all match.
+// The checkpointed path also skips periodic hang tails (vm/loop.go) and the
+// straight path never does, so the test requires that some unit skipped.
 func TestFastForwardMatchesStraightRun(t *testing.T) {
 	const nLocs, nCases = 2, 2
 	seed := int64(41)
+	met := newCampMetrics(telemetry.NewRegistry())
 	for _, p := range programs.Table4Programs() {
 		c, err := p.Compile()
 		if err != nil {
@@ -68,6 +72,7 @@ func TestFastForwardMatchesStraightRun(t *testing.T) {
 
 		straightPool := newMachinePool()
 		fastPool := newMachinePool()
+		fastPool.met = met
 		for _, mode := range []injector.Mode{injector.ModeHardware, injector.ModeTrap} {
 			for fi := range faults {
 				f := &faults[fi]
@@ -93,6 +98,10 @@ func TestFastForwardMatchesStraightRun(t *testing.T) {
 			}
 		}
 	}
+	if met.loopSkips.Value() == 0 {
+		t.Fatal("no unit skipped a periodic hang tail; the skip went untested")
+	}
+	t.Logf("%d units skipped %d cycles of periodic hang tail", met.loopSkips.Value(), met.cyclesSkipped.Value())
 }
 
 // TestFigure7FastForwardDeepEqual is the campaign-level form of the same

@@ -71,6 +71,15 @@ func (p *machinePool) countDormantSkip() {
 	}
 }
 
+// countLoopSkip records a run whose periodic hang tail was skipped and the
+// cycles the skip saved; nil-safe like the ffwd helpers.
+func (p *machinePool) countLoopSkip(cycles uint64) {
+	if p.met != nil {
+		p.met.loopSkips.AddShard(p.w, 1)
+		p.met.cyclesSkipped.AddShard(p.w, cycles)
+	}
+}
+
 // degradeLogOnce gates the one diagnostic line degraded-mode execution
 // prints: the event is surfaced per-run in the result's ExecStats, so the
 // log exists to timestamp the first occurrence, not to spam one line per
@@ -226,13 +235,20 @@ func (p *machinePool) runFastForward(u *runUnit) (RunResult, error) {
 		return RunResult{}, err
 	}
 	var s *injector.Session
-	if !lean {
-		if s, err = injector.Arm(m, u.mode, u.f); err != nil {
-			return RunResult{}, err
-		}
+	if lean {
+		// Lean hooks are pure functions of the PC, address and value, so
+		// an exactly periodic hang tail can be skipped to the watchdog
+		// (vm/loop.go). The straight path never arms it and stays the
+		// reference.
+		m.ArmLoopSkip()
+	} else if s, err = injector.Arm(m, u.mode, u.f); err != nil {
+		return RunResult{}, err
 	}
 	if _, err := m.Run(); err != nil {
 		return RunResult{}, err
+	}
+	if n := m.SkippedCycles(); n > 0 {
+		p.countLoopSkip(n)
 	}
 	_, res := classify(m, u.cs.Golden)
 	if lean {

@@ -31,6 +31,8 @@ type campMetrics struct {
 	ffwdHits      *telemetry.Counter // injections started from a restored checkpoint
 	ffwdMisses    *telemetry.Counter // location faults that had to replay from reboot
 	dormantSkips  *telemetry.Counter // dormant faults served from the golden record
+	loopSkips     *telemetry.Counter // runs whose periodic hang tail was skipped
+	cyclesSkipped *telemetry.Counter // VM cycles those skips did not simulate
 	degraded      *telemetry.Counter
 	retries       *telemetry.Counter
 	quarantines   *telemetry.Counter
@@ -72,6 +74,8 @@ func newCampMetrics(reg *telemetry.Registry) *campMetrics {
 		ffwdHits:      reg.Counter("campaign_ffwd_hits_total"),
 		ffwdMisses:    reg.Counter("campaign_ffwd_misses_total"),
 		dormantSkips:  reg.Counter("campaign_dormant_skips_total"),
+		loopSkips:     reg.Counter("campaign_loop_skips_total"),
+		cyclesSkipped: reg.Counter("campaign_cycles_skipped_total"),
 		degraded:      reg.Counter("campaign_degraded_total"),
 		retries:       reg.Counter("campaign_retries_total"),
 		quarantines:   reg.Counter("campaign_quarantines_total"),

@@ -105,6 +105,20 @@ func TestTelemetryCountersMatchResult(t *testing.T) {
 	if c["golden_runs_total"] == 0 {
 		t.Error("golden_runs_total = 0, want > 0")
 	}
+	// Periodic-tail skips: registered (so -report and /metrics show them),
+	// only ever on hang verdicts, and cycles counted exactly when runs are.
+	skips, skipped := c["campaign_loop_skips_total"], c["campaign_cycles_skipped_total"]
+	for _, name := range []string{"campaign_loop_skips_total", "campaign_cycles_skipped_total"} {
+		if _, ok := c[name]; !ok {
+			t.Errorf("%s not registered", name)
+		}
+	}
+	if hangs := c[`campaign_verdicts_total{mode="hang"}`]; skips > hangs {
+		t.Errorf("campaign_loop_skips_total = %d exceeds the %d hang verdicts", skips, hangs)
+	}
+	if (skips == 0) != (skipped == 0) {
+		t.Errorf("campaign_loop_skips_total = %d but campaign_cycles_skipped_total = %d", skips, skipped)
+	}
 	// The latency histogram saw every unit.
 	var found bool
 	for _, h := range tel.Reg.Histograms() {

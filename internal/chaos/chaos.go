@@ -546,9 +546,9 @@ func ParseSpec(spec string) (Config, error) {
 		case "seed":
 			cfg.Seed, err = strconv.ParseInt(val, 10, 64)
 		case "latency":
-			cfg.Latency, err = time.ParseDuration(val)
+			cfg.Latency, err = parseDur(val)
 		case "jitter":
-			cfg.Jitter, err = time.ParseDuration(val)
+			cfg.Jitter, err = parseDur(val)
 		case "bandwidth":
 			cfg.Bandwidth, err = strconv.Atoi(val)
 		case "corrupt":
@@ -562,7 +562,7 @@ func ParseSpec(spec string) (Config, error) {
 		case "partition":
 			cfg.Partition, err = parseProb(val)
 		case "partition-for":
-			cfg.PartitionFor, err = time.ParseDuration(val)
+			cfg.PartitionFor, err = parseDur(val)
 		case "partition-heal":
 			cfg.PartitionHeal, err = strconv.ParseBool(val)
 		case "disk.enospc":
@@ -574,7 +574,7 @@ func ParseSpec(spec string) (Config, error) {
 		case "disk.sync-fail":
 			cfg.DiskSyncFail, err = parseProb(val)
 		case "disk.sync-delay":
-			cfg.DiskSyncDelay, err = time.ParseDuration(val)
+			cfg.DiskSyncDelay, err = parseDur(val)
 		case "disk.read-corrupt":
 			cfg.DiskReadCorrupt, err = parseProb(val)
 		case "disk.poison":
@@ -609,10 +609,25 @@ func parseProb(s string) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if p < 0 || p > 1 {
+	// Written so NaN, which fails every comparison, is rejected too.
+	if !(p >= 0 && p <= 1) {
 		return 0, fmt.Errorf("probability %v outside [0,1]", p)
 	}
 	return p, nil
+}
+
+// parseDur parses a duration that must not be negative: a negative jitter
+// would become a huge unsigned modulus, and a negative latency or stall
+// means nothing.
+func parseDur(s string) (time.Duration, error) {
+	d, err := time.ParseDuration(s)
+	if err != nil {
+		return 0, err
+	}
+	if d < 0 {
+		return 0, fmt.Errorf("negative duration %v", d)
+	}
+	return d, nil
 }
 
 func specKeys() []string {

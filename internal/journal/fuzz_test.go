@@ -58,13 +58,13 @@ func FuzzJournalOpen(f *testing.F) {
 		5: {Mode: 4, Degraded: true, Retried: true},
 	}, false)
 	f.Add(real)
-	f.Add(journalBytes(f, 0, nil, false))                               // header only
+	f.Add(journalBytes(f, 0, nil, false))                                    // header only
 	f.Add(journalBytes(f, ^uint64(0), map[int]journal.Outcome{7: {}}, true)) // canonicalized
-	f.Add(real[:len(real)-5])  // torn tail mid-record
-	f.Add(real[:12])           // torn header
-	f.Add([]byte{})            // empty file
-	f.Add([]byte("SWFJ"))      // magic alone
-	f.Add([]byte("SWFS\x01\x00\x00\x00")) // sidecar magic in a journal slot
+	f.Add(real[:len(real)-5])                                                // torn tail mid-record
+	f.Add(real[:12])                                                         // torn header
+	f.Add([]byte{})                                                          // empty file
+	f.Add([]byte("SWFJ"))                                                    // magic alone
+	f.Add([]byte("SWFS\x01\x00\x00\x00"))                                    // sidecar magic in a journal slot
 	flipped := append([]byte(nil), real...)
 	flipped[len(flipped)-3] ^= 0x40 // corrupt last record's CRC region
 	f.Add(flipped)

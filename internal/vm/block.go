@@ -132,6 +132,11 @@ const (
 	uAddStwThenLwzAddiCmpwBc
 	uLwzThenCmpwBc
 
+	// uLoopCheck heads the loop detector's sentinel block (loop.go): it
+	// compares the machine state with the held capture before the block's
+	// own micro-ops run. The compiler never emits it.
+	uLoopCheck
+
 	numUopCodes
 )
 
@@ -977,6 +982,12 @@ dispatch:
 							pc = v.pc + 2*WordSize
 						}
 						continue dispatch
+
+					case uLoopCheck:
+						if c, skip := m.loopVisit(cycles); skip {
+							cycles = c
+							continue dispatch
+						}
 					}
 				}
 				// Unreachable: every block ends in a terminal micro-op. The
@@ -987,8 +998,12 @@ dispatch:
 		// Trap block, misaligned/out-of-text PC, approaching run limit, or a
 		// watchpoint inside the block span: the interpreter's step handles
 		// one instruction with the canonical check ordering, then dispatch
-		// resumes.
+		// resumes. An approaching loop-detector capture is taken here, at
+		// the block entry, instead.
 		m.pc, m.cycles = pc, cycles
+		if m.loop != nil && m.loopDue() {
+			continue
+		}
 		m.step()
 		pc, cycles = m.pc, m.cycles
 	}

@@ -273,3 +273,34 @@ func TestBlockDiffFuzzMidRunPlant(t *testing.T) {
 		})
 	}
 }
+
+// TestBlockDiffFuzzLoopSkip runs the corpus with the periodic-tail skip
+// armed on the block side (ArmLoopSkip refuses the interpreter side, which
+// stays the unarmed reference). Random programs often end in a spin, so a
+// fair share of seeds skip; the test requires enough of them that it cannot
+// pass vacuously. Short and race runs take a fifth of the corpus.
+func TestBlockDiffFuzzLoopSkip(t *testing.T) {
+	seeds := int64(2000)
+	if testing.Short() || raceEnabled {
+		seeds = 400
+	}
+	skips := 0
+	for seed := int64(0); seed < seeds; seed++ {
+		var block *Machine
+		runFuzzPair(t, seed, func(m *Machine) {
+			if m.ArmLoopSkip() {
+				block = m
+			}
+		})
+		if block == nil {
+			t.Fatalf("seed %d: ArmLoopSkip refused the block-engine machine", seed)
+		}
+		if block.SkippedCycles() > 0 {
+			skips++
+		}
+	}
+	if min := int(seeds / 40); skips < min {
+		t.Fatalf("only %d of %d seeds skipped a periodic tail (want at least %d)", skips, seeds, min)
+	}
+	t.Logf("%d of %d seeds skipped a periodic tail", skips, seeds)
+}

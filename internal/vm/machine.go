@@ -265,6 +265,13 @@ type Machine struct {
 	watchCycles   []uint64
 	watchCyclePos int
 	watchHook     WatchHook
+
+	// Periodic-tail skipping (see loop.go): loop is the armed detector or
+	// nil, loopState its reusable storage, and loopSkipped the cycles the
+	// last run skipped.
+	loop        *loopDetector
+	loopState   loopDetector
+	loopSkipped uint64
 }
 
 // Config parameterises a new Machine. The zero value selects defaults.
@@ -373,6 +380,8 @@ func (m *Machine) Load(img Image) error {
 	if int(dataStart)+len(img.Data) > len(m.mem)/2 {
 		return fmt.Errorf("vm: image too large: %d text bytes + %d data bytes", textBytes, len(img.Data))
 	}
+	m.disarmLoop()
+	m.loopSkipped = 0
 	if m.pageFlags == nil {
 		m.pageFlags = make([]uint8, (len(m.mem)+pageSize-1)/pageSize)
 	}
@@ -426,10 +435,14 @@ func (m *Machine) Load(img Image) error {
 }
 
 // markPage flags one page dirty since boot and since the last snapshot,
-// registering it in the dirty list on its first write.
+// registering it in the dirty list on its first write. It runs before the
+// write lands, so an armed loop detector can save the page's pre-image.
 func (m *Machine) markPage(pi uint32) {
 	if m.pageFlags[pi] == 0 {
 		m.dirtyPages = append(m.dirtyPages, pi)
+	}
+	if m.loop != nil && m.loop.captured {
+		m.loopSavePage(pi)
 	}
 	m.pageFlags[pi] = pageBoot | pageSnap
 }
@@ -548,6 +561,8 @@ func (m *Machine) Reset() error {
 	if m.state == 0 {
 		return ErrNotLoaded
 	}
+	m.disarmLoop()
+	m.loopSkipped = 0
 	// Only pages actually written since Load/Reset can differ from the
 	// image, so reverting those restores all of memory.
 	for _, pi := range m.dirtyPages {
@@ -622,21 +637,38 @@ func (m *Machine) SetCycleQuota(n uint64) {
 	m.recomputeRunLimit()
 }
 
+// recomputeRunLimit caches min(maxCycles, cycleQuota) in runLimit. An armed
+// loop detector keeps that as its skip target and lowers runLimit to its next
+// scheduled capture, so captures ride on the same compare.
 func (m *Machine) recomputeRunLimit() {
 	m.runLimit = m.maxCycles
 	if m.cycleQuota != 0 && m.cycleQuota < m.runLimit {
 		m.runLimit = m.cycleQuota
 	}
+	if l := m.loop; l != nil {
+		l.limit = m.runLimit
+		if l.next < m.runLimit {
+			m.runLimit = l.next
+		}
+	}
 }
 
-// limitExpire classifies an expired run limit: reaching the hard quota marks
-// the run as a host fault (quotaHit makes Run return ErrCycleQuota); reaching
-// only the watchdog budget is the paper's dead-loop timeout, state hung.
-func (m *Machine) limitExpire() {
+// limitExpire handles a reached run limit and reports whether the run ended.
+// Short of the true limit a loop-detector event came due away from a block
+// entry: loopEvent takes it and the run goes on. Otherwise reaching the hard
+// quota marks the run as a host fault
+// (quotaHit makes Run return ErrCycleQuota), and reaching only the watchdog
+// budget is the paper's dead-loop timeout, state hung.
+func (m *Machine) limitExpire() bool {
+	if m.loop != nil && m.cycles < m.loop.limit {
+		m.loopEvent()
+		return false
+	}
 	if m.cycleQuota != 0 && m.cycles >= m.cycleQuota {
 		m.quotaHit = true
 	}
 	m.state = StateHung
+	return true
 }
 
 // SetInput installs the integer input stream consumed by SysReadInt.
@@ -939,8 +971,7 @@ func (m *Machine) Run() (State, error) {
 			m.step()
 			continue
 		}
-		if m.cycles >= m.runLimit {
-			m.limitExpire()
+		if m.cycles >= m.runLimit && m.limitExpire() {
 			break
 		}
 		m.cycles++
@@ -1021,6 +1052,7 @@ func (m *Machine) Run() (State, error) {
 			m.execute(pc, in)
 		}
 	}
+	m.disarmLoop()
 	if m.quotaHit {
 		m.quotaHit = false
 		return m.state, fmt.Errorf("%w after %d cycles (quota %d, watchdog %d)",
@@ -1038,8 +1070,7 @@ func (m *Machine) step() {
 	if m.watchAny {
 		m.checkWatch()
 	}
-	if m.cycles >= m.runLimit {
-		m.limitExpire()
+	if m.cycles >= m.runLimit && m.limitExpire() {
 		return
 	}
 	m.cycles++

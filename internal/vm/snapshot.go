@@ -176,11 +176,13 @@ func (s *Snapshot) Checksum() uint64 {
 // Snapshot captures the machine's current execution state. It returns nil if
 // no program is loaded. Taking a snapshot does not disturb the run: it may
 // be called from a watch hook mid-execution and the machine continues
-// exactly as if it had not been called.
+// exactly as if it had not been called, except that an armed loop detector
+// is disarmed (its capture reuses the page flags Snapshot relies on).
 func (m *Machine) Snapshot() *Snapshot {
 	if m.state == 0 {
 		return nil
 	}
+	m.disarmLoop()
 	s := &Snapshot{
 		regs:        m.regs,
 		pc:          m.pc,
@@ -252,6 +254,8 @@ func (m *Machine) Restore(s *Snapshot) error {
 	if len(m.mem) != s.memSize || m.textEnd != s.textEnd || m.dataBase != s.dataBase || len(m.img.Text) != s.textLen {
 		return fmt.Errorf("vm: snapshot is from an incompatible machine or image")
 	}
+	m.disarmLoop()
+	m.loopSkipped = 0
 
 	for _, pi := range m.dirtyPages {
 		if _, ok := s.pages[pi]; !ok {
