@@ -826,8 +826,8 @@ func benchVMThroughput(b *testing.B, interpOnly bool) {
 }
 
 // BenchmarkVMThroughputCompiled is the block-compiled engine (the default
-// everywhere); BenchmarkVMThroughputInterp is the same run under
-// -interp-only. Their ratio is the speed-up of block compilation on
+// everywhere); BenchmarkVMThroughputInterp is the same run with
+// SetInterpOnly, every instruction through step. Their ratio is the speed-up of block compilation on
 // identical work.
 func BenchmarkVMThroughputCompiled(b *testing.B) { benchVMThroughput(b, false) }
 

@@ -11,8 +11,10 @@
 //	faultgen -workers 8 all               # whole suite, planned in parallel
 //
 // "all" expands to every program of the suite. With more than one program
-// the compilations and plans fan out over -workers; output order always
-// follows the argument order.
+// the compilations and plans fan out over -workers goroutines in this
+// process (the whole suite plans in milliseconds; only swifi distributes
+// work to subprocesses or hosts); output order always follows the
+// argument order.
 package main
 
 import (
@@ -21,7 +23,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/exec"
 	"os/signal"
 	"runtime"
 	"strconv"
@@ -29,15 +30,12 @@ import (
 	"syscall"
 
 	"repro/internal/cliutil"
-	"repro/internal/fabric"
 	"repro/internal/fault"
-	"repro/internal/journal"
 	"repro/internal/locator"
 	"repro/internal/metrics"
 	"repro/internal/parallel"
 	"repro/internal/programs"
 	"repro/internal/telemetry"
-	"repro/internal/worker"
 )
 
 func main() {
@@ -55,38 +53,18 @@ func run(args []string) error {
 	withMetrics := fs.Bool("metrics", false, "print complexity-guided location weights (§6.1)")
 	asJSON := fs.Bool("json", false, "emit the expanded fault list as JSON")
 	workers := fs.Int("workers", runtime.GOMAXPROCS(0), "parallel planning workers when several programs are given (1 = serial)")
-	isolation := fs.String("isolation", "inproc", "planning execution: inproc (goroutines) or proc (supervised worker subprocesses)")
-	workerMode := fs.Bool("worker-mode", false, "internal: serve plans over stdin/stdout (spawned by -isolation=proc)")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := fs.String("memprofile", "", "write a heap profile to this file on exit")
 	version := fs.Bool("version", false, "print the binary version and exit")
 	tf := cliutil.AddTelemetryFlags(fs)
-	hb := cliutil.AddHeartbeatFlags(fs)
-	fab := cliutil.AddFabricFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *workerMode {
-		return worker.Serve(os.Stdin, os.Stdout, planFactory)
 	}
 	if *version {
 		cliutil.PrintVersion("faultgen")
 		return nil
 	}
-	procIsolation, err := cliutil.ParseIsolation(*isolation)
-	if err != nil {
-		return err
-	}
 	if err := cliutil.ValidateWorkers(*workers); err != nil {
-		return err
-	}
-	if err := hb.Validate(); err != nil {
-		return err
-	}
-	if err := fab.Validate(); err != nil {
-		return err
-	}
-	if err := cliutil.ValidateFabricTelemetry(fab, tf); err != nil {
 		return err
 	}
 	stopProf, err := cliutil.StartProfiles("faultgen", *cpuProfile, *memProfile)
@@ -100,31 +78,6 @@ func run(args []string) error {
 	}
 	defer telCleanup()
 	rest := fs.Args()
-	if fab.Join != "" {
-		// Executor mode: the program list comes from the coordinator's
-		// spec, so no arguments are taken here. Federation registers the
-		// executor-side instruments (chaos included) on its registry so
-		// they surface host-labelled on the coordinator.
-		fed := fabric.NewFederation(tel.Registry(), tel.Tracer())
-		fedWrap, err := fab.ChaosWrap(fed.Registry)
-		if err != nil {
-			return err
-		}
-		ctx, stopSignals := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-		defer stopSignals()
-		return fabric.Join(ctx, fab.Join, fabric.ExecutorOptions{
-			Workers:         *workers,
-			Batch:           fabric.InProcBatch(planFactory, *workers),
-			DialTimeout:     fab.DialTimeout,
-			ReconnectWindow: fab.ReconnectWindow,
-			WrapConn:        fedWrap,
-			Metrics:         fabric.NewExecutorMetrics(fed.Registry),
-			Federation:      fed,
-			Log: func(format string, args ...any) {
-				fmt.Fprintf(os.Stderr, "faultgen: "+format+"\n", args...)
-			},
-		})
-	}
 	if len(rest) == 0 {
 		return fmt.Errorf("usage: faultgen [flags] <program>... (or 'all')")
 	}
@@ -144,29 +97,16 @@ func run(args []string) error {
 		reg.Gauge("faultgen_programs_total").Set(int64(len(rest)))
 		plans = reg.Counter("faultgen_plans_total")
 	}
-	var outs []string
-	if fab.Listen != "" {
-		outs, err = describeFabric(ctx, planSpec{
-			Programs: rest, Class: *class, N: *n, Seed: *seed,
-			Metrics: *withMetrics, JSON: *asJSON,
-		}, fab, hb, tel, plans)
-	} else if procIsolation {
-		outs, err = describeProc(ctx, planSpec{
-			Programs: rest, Class: *class, N: *n, Seed: *seed,
-			Metrics: *withMetrics, JSON: *asJSON,
-		}, *workers, hb, fab, tel, plans)
-	} else {
-		tr := tel.Tracer()
-		outs, err = parallel.MapCtx(ctx, *workers, len(rest), func(w, i int) (string, error) {
-			tr.Emit(telemetry.Event{Kind: telemetry.KindDispatched, Unit: i, Program: rest[i], Worker: w})
-			out, derr := describe(rest[i], *class, *n, *seed, *withMetrics, *asJSON)
-			if derr == nil {
-				plans.AddShard(w, 1)
-				tr.Emit(telemetry.Event{Kind: telemetry.KindExecuted, Unit: i, Program: rest[i], Worker: w})
-			}
-			return out, derr
-		})
-	}
+	tr := tel.Tracer()
+	outs, err := parallel.MapCtx(ctx, *workers, len(rest), func(w, i int) (string, error) {
+		tr.Emit(telemetry.Event{Kind: telemetry.KindDispatched, Unit: i, Program: rest[i], Worker: w})
+		out, derr := describe(rest[i], *class, *n, *seed, *withMetrics, *asJSON)
+		if derr == nil {
+			plans.AddShard(w, 1)
+			tr.Emit(telemetry.Event{Kind: telemetry.KindExecuted, Unit: i, Program: rest[i], Worker: w})
+		}
+		return out, derr
+	})
 	if err != nil {
 		return err
 	}
@@ -181,182 +121,6 @@ func run(args []string) error {
 	rep.Units.Total = len(rest)
 	rep.Units.Executed = len(rest)
 	return tf.WriteReport(rep, tel)
-}
-
-// specKindPlan is the worker.Spec kind faultgen serves in -worker-mode.
-const specKindPlan = "faultgen/v1"
-
-// planSpec is the faultgen worker spec payload: one unit per program, in
-// argument order.
-type planSpec struct {
-	Programs []string `json:"programs"`
-	Class    string   `json:"class"`
-	N        int      `json:"n"`
-	Seed     int64    `json:"seed"`
-	Metrics  bool     `json:"metrics"`
-	JSON     bool     `json:"json"`
-}
-
-// planFactory is the worker-side factory: rebuild the spec, verify the
-// fingerprint, serve describe() per program with the rendered text as the
-// verdict payload.
-func planFactory(spec worker.Spec) (worker.Runner, error) {
-	if spec.Kind != specKindPlan {
-		return nil, fmt.Errorf("worker spec kind %q, faultgen serves %q", spec.Kind, specKindPlan)
-	}
-	if fp := worker.PayloadFingerprint(spec.Kind, spec.Payload); fp != spec.Fingerprint {
-		return nil, fmt.Errorf("spec fingerprint %016x does not match payload hash %016x", spec.Fingerprint, fp)
-	}
-	var s planSpec
-	if err := json.Unmarshal(spec.Payload, &s); err != nil {
-		return nil, err
-	}
-	return &planRunner{spec: s}, nil
-}
-
-type planRunner struct{ spec planSpec }
-
-func (r *planRunner) Units() int { return len(r.spec.Programs) }
-
-func (r *planRunner) Run(unit int) (journal.Outcome, []byte, error) {
-	s := &r.spec
-	out, err := describe(s.Programs[unit], s.Class, s.N, s.Seed, s.Metrics, s.JSON)
-	if err != nil {
-		return journal.Outcome{}, nil, err
-	}
-	return journal.Outcome{Mode: 1}, []byte(out), nil
-}
-
-// describeProc fans the programs out over supervised faultgen worker
-// subprocesses and returns the rendered outputs in argument order. A
-// program whose plan repeatedly crashes its worker is reported as an error,
-// not silently dropped.
-func describeProc(ctx context.Context, s planSpec, workers int, hb *cliutil.HeartbeatFlags, fab *cliutil.FabricFlags, tel *telemetry.Telemetry, plans *telemetry.Counter) ([]string, error) {
-	payload, err := json.Marshal(s)
-	if err != nil {
-		return nil, err
-	}
-	exe, err := os.Executable()
-	if err != nil {
-		return nil, err
-	}
-	storageChaos, err := fab.StorageChaos(tel.Registry())
-	if err != nil {
-		return nil, err
-	}
-	pool, err := worker.NewPool(worker.Options{
-		Workers: workers,
-		Command: func() *exec.Cmd {
-			cmd := exec.Command(exe, "-worker-mode")
-			cmd.Stderr = os.Stderr
-			return cmd
-		},
-		Spec: worker.Spec{
-			Kind:        specKindPlan,
-			Fingerprint: worker.PayloadFingerprint(specKindPlan, payload),
-			Payload:     payload,
-		},
-		HeartbeatInterval: hb.Interval,
-		HeartbeatTimeout:  hb.Timeout,
-		WrapPipes:         cliutil.PipeWrap(storageChaos),
-		Log: func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, "faultgen: "+format+"\n", args...)
-		},
-		Metrics: telemetry.NewWorkerMetrics(tel.Registry()),
-		Tracer:  tel.Tracer(),
-	})
-	if err != nil {
-		return nil, err
-	}
-	indices := make([]int, len(s.Programs))
-	for i := range indices {
-		indices[i] = i
-	}
-	outs := make([]string, len(s.Programs))
-	var lost []string
-	err = pool.Run(ctx, indices, func(r worker.Result) error {
-		if r.Quarantined {
-			lost = append(lost, s.Programs[r.Index])
-			return nil
-		}
-		plans.Inc()
-		outs[r.Index] = string(r.Payload)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	if len(lost) > 0 {
-		return nil, fmt.Errorf("planning crashed the worker for: %s", strings.Join(lost, ", "))
-	}
-	return outs, nil
-}
-
-// describeFabric shards the program list over fabric executors (faultgen
-// -fabric-join) and returns the rendered outputs in argument order — the
-// same contract as describeProc, one level of distribution up. Coordinator
-// and executors cross-check the payload fingerprint, so a mismatched
-// executor (different build or flag set) is rejected at the handshake.
-func describeFabric(ctx context.Context, s planSpec, fab *cliutil.FabricFlags, hb *cliutil.HeartbeatFlags, tel *telemetry.Telemetry, plans *telemetry.Counter) ([]string, error) {
-	payload, err := json.Marshal(s)
-	if err != nil {
-		return nil, err
-	}
-	chaosWrap, err := fab.ChaosWrap(tel.Registry())
-	if err != nil {
-		return nil, err
-	}
-	// Live fleet view: the tracker mirrors the coordinator's sessions for
-	// the -debug-addr server's /fleet endpoint.
-	fleet := fabric.NewFleetTracker(len(s.Programs), tel.Registry())
-	telemetry.SetFleetSource(fleet.Source())
-	defer telemetry.SetFleetSource(nil)
-	coord, err := fabric.NewCoordinator(fabric.CoordinatorOptions{
-		Addr:     fab.Listen,
-		MinHosts: fab.Hosts,
-		Spec: worker.Spec{
-			Kind:        specKindPlan,
-			Fingerprint: worker.PayloadFingerprint(specKindPlan, payload),
-			Payload:     payload,
-		},
-		Units:             len(s.Programs),
-		HeartbeatInterval: hb.Interval,
-		HeartbeatTimeout:  hb.Timeout,
-		SessionTimeout:    fab.SessionTimeout,
-		WrapConn:          chaosWrap,
-		Metrics:           fabric.NewMetrics(tel.Registry()),
-		Tracer:            tel.Tracer(),
-		Registry:          tel.Registry(),
-		Fleet:             fleet,
-		Log: func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, "faultgen: "+format+"\n", args...)
-		},
-	})
-	if err != nil {
-		return nil, err
-	}
-	indices := make([]int, len(s.Programs))
-	for i := range indices {
-		indices[i] = i
-	}
-	outs := make([]string, len(s.Programs))
-	var lost []string
-	err = coord.Run(ctx, indices, func(r worker.Result) error {
-		if r.Quarantined {
-			lost = append(lost, s.Programs[r.Index])
-			return nil
-		}
-		plans.Inc()
-		outs[r.Index] = string(r.Payload)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	if len(lost) > 0 {
-		return nil, fmt.Errorf("planning went down with every executor host for: %s", strings.Join(lost, ", "))
-	}
-	return outs, nil
 }
 
 // describe renders the requested report for one program.

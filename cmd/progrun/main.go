@@ -8,11 +8,11 @@
 //	progrun -string "seed len text" JB.team6     # JamesB byte input
 //	progrun -programs                            # list suite programs
 //	progrun -selftest 500 -workers 8 C.team1     # batch-run against the oracle
-//	progrun -selftest 2000 -fabric-listen :9371 C.team1  # shard the batch over executors
-//	progrun -fabric-join host:9371               # join a coordinator as an executor
 //
-// -itrace prints the last N executed instructions; -trace <file> (shared
-// with the other CLIs) streams structured telemetry events as JSON lines.
+// -selftest runs its batch in this process over -workers goroutines, the
+// same clean-run executor swifi's Table 1 uses. -itrace prints the last N
+// executed instructions; -trace <file> (shared with the other CLIs) streams
+// structured telemetry events as JSON lines.
 //
 // Camelot example:
 //
@@ -21,11 +21,9 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"os/exec"
 	"os/signal"
 	"runtime"
 	"strconv"
@@ -37,13 +35,10 @@ import (
 	"repro/internal/campaign"
 	"repro/internal/cc"
 	"repro/internal/cliutil"
-	"repro/internal/fabric"
-	"repro/internal/journal"
 	"repro/internal/parallel"
 	"repro/internal/programs"
 	"repro/internal/telemetry"
 	"repro/internal/vm"
-	"repro/internal/worker"
 	"repro/internal/workload"
 )
 
@@ -62,43 +57,22 @@ func run(args []string) error {
 	listP := fs.Bool("programs", false, "list the program suite and exit")
 	strIn := fs.String("string", "", "byte input for the character stream (JamesB programs)")
 	itrace := fs.Int("itrace", 0, "record and print the last N executed instructions")
-	interpOnly := fs.Bool("interp-only", false, "disable the block-compiled VM engine (per-instruction interpreter; results are identical)")
 	selftest := fs.Int("selftest", 0, "run N generated inputs against the oracle instead of one run")
 	seed := fs.Int64("seed", 99, "random seed for -selftest input generation")
 	workers := fs.Int("workers", runtime.GOMAXPROCS(0), "parallel workers for -selftest (1 = serial)")
-	isolation := fs.String("isolation", "inproc", "-selftest execution: inproc (goroutines) or proc (supervised worker subprocesses)")
-	workerMode := fs.Bool("worker-mode", false, "internal: serve selftest cases over stdin/stdout (spawned by -isolation=proc)")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := fs.String("memprofile", "", "write a heap profile to this file on exit")
 	version := fs.Bool("version", false, "print the binary version and exit")
 	tf := cliutil.AddTelemetryFlags(fs)
-	hb := cliutil.AddHeartbeatFlags(fs)
-	fab := cliutil.AddFabricFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *workerMode {
-		return worker.Serve(os.Stdin, os.Stdout, selftestFactory)
 	}
 	if *version {
 		cliutil.PrintVersion("progrun")
 		return nil
 	}
-	procIsolation, err := cliutil.ParseIsolation(*isolation)
-	if err != nil {
-		return err
-	}
 	if err := cliutil.ValidateWorkers(*workers); err != nil {
 		return err
-	}
-	if err := hb.Validate(); err != nil {
-		return err
-	}
-	if err := fab.Validate(); err != nil {
-		return err
-	}
-	if fab.Listen != "" && *selftest <= 0 {
-		return fmt.Errorf("-fabric-listen coordinates a -selftest batch; give -selftest N too")
 	}
 	stopProf, err := cliutil.StartProfiles("progrun", *cpuProfile, *memProfile)
 	if err != nil {
@@ -114,40 +88,6 @@ func run(args []string) error {
 			fmt.Printf("%-10s %-8s %4d lines  fault: %-12s %s\n", p.Name, p.Kind, p.LineCount(), fault, p.Features)
 		}
 		return nil
-	}
-	if fab.Join != "" {
-		// Executor mode: the program, case count and seed come from the
-		// coordinator's spec; only local execution knobs apply here.
-		// Telemetry is set up before joining — historically this branch
-		// returned before tf.Setup ran, so -debug-addr on a progrun
-		// executor silently did nothing.
-		if err := cliutil.ValidateFabricTelemetry(fab, tf); err != nil {
-			return err
-		}
-		tel, telCleanup, err := tf.Setup("progrun")
-		if err != nil {
-			return err
-		}
-		defer telCleanup()
-		fed := fabric.NewFederation(tel.Registry(), tel.Tracer())
-		chaosWrap, err := fab.ChaosWrap(fed.Registry)
-		if err != nil {
-			return err
-		}
-		ctx, stopSignals := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-		defer stopSignals()
-		return fabric.Join(ctx, fab.Join, fabric.ExecutorOptions{
-			Workers:         *workers,
-			Batch:           fabric.InProcBatch(selftestFactory, *workers),
-			DialTimeout:     fab.DialTimeout,
-			ReconnectWindow: fab.ReconnectWindow,
-			WrapConn:        chaosWrap,
-			Metrics:         fabric.NewExecutorMetrics(fed.Registry),
-			Federation:      fed,
-			Log: func(format string, args ...any) {
-				fmt.Fprintf(os.Stderr, "progrun: "+format+"\n", args...)
-			},
-		})
 	}
 	rest := fs.Args()
 	if len(rest) == 0 {
@@ -178,7 +118,7 @@ func run(args []string) error {
 	}
 	defer telCleanup()
 	if *selftest > 0 {
-		return runSelftest(p, c, *selftest, *seed, *workers, procIsolation, *faulty, hb, fab, tel, tf)
+		return runSelftest(p, c, *selftest, *seed, *workers, *faulty, tel, tf)
 	}
 
 	var ints []int32
@@ -193,7 +133,6 @@ func run(args []string) error {
 	if err := m.Load(c.Prog.Image); err != nil {
 		return err
 	}
-	m.SetInterpOnly(*interpOnly)
 	m.SetInput(ints)
 	m.SetByteInput([]byte(*strIn))
 	if *itrace > 0 {
@@ -234,21 +173,10 @@ func run(args []string) error {
 	return tf.WriteReport(rep, tel)
 }
 
-// caseResult is one selftest case's outcome, in the shape both execution
-// paths produce: the in-process batch directly, the worker path as the
-// verdict payload on the wire.
-type caseResult struct {
-	Mode   campaign.FailureMode `json:"mode"`
-	State  string               `json:"state"`
-	Output string               `json:"output"`
-}
-
 // runSelftest batch-runs the compiled program over n generated inputs and
 // checks every output against the oracle — the fast way to confirm a
 // (possibly faulty) build still behaves before pointing a campaign at it.
-// With proc set the cases run in supervised worker subprocesses instead of
-// goroutines; the verdicts are identical.
-func runSelftest(p *programs.Program, c *cc.Compiled, n int, seed int64, workers int, proc, faulty bool, hb *cliutil.HeartbeatFlags, fab *cliutil.FabricFlags, tel *telemetry.Telemetry, tf *cliutil.TelemetryFlags) error {
+func runSelftest(p *programs.Program, c *cc.Compiled, n int, seed int64, workers int, faulty bool, tel *telemetry.Telemetry, tf *cliutil.TelemetryFlags) error {
 	workers = parallel.DefaultWorkers(workers)
 	cases, err := workload.Generate(p.Kind, n, seed)
 	if err != nil {
@@ -258,26 +186,9 @@ func runSelftest(p *programs.Program, c *cc.Compiled, n int, seed int64, workers
 	ctx, stopSignals := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stopSignals()
 	start := time.Now()
-	var results []caseResult
-	if fab.Listen != "" {
-		results, err = selftestFabric(ctx, selftestSpec{Program: p.Name, Faulty: faulty, N: n, Seed: seed}, fab, hb, tel)
-		if err != nil {
-			return err
-		}
-	} else if proc {
-		results, err = selftestProc(ctx, selftestSpec{Program: p.Name, Faulty: faulty, N: n, Seed: seed}, workers, hb, fab, tel)
-		if err != nil {
-			return err
-		}
-	} else {
-		rr, err := campaign.RunCleanBatchCtx(ctx, c, cases, vm.DefaultMaxCycles, workers)
-		if err != nil {
-			return err
-		}
-		results = make([]caseResult, len(rr))
-		for i, r := range rr {
-			results[i] = caseResult{Mode: r.Mode, State: r.State.String(), Output: string(r.Output)}
-		}
+	results, err := campaign.RunCleanBatchCtx(ctx, c, cases, vm.DefaultMaxCycles, workers)
+	if err != nil {
+		return err
 	}
 	elapsed := time.Since(start)
 	counts := make(map[campaign.FailureMode]int)
@@ -322,201 +233,4 @@ func runSelftest(p *programs.Program, c *cc.Compiled, n int, seed int64, workers
 		return fmt.Errorf("%d of %d runs deviated from the oracle", len(results)-counts[campaign.Correct], len(results))
 	}
 	return nil
-}
-
-// specKindSelftest is the worker.Spec kind progrun serves in -worker-mode.
-const specKindSelftest = "selftest/v1"
-
-// selftestSpec is the progrun worker spec payload: one unit per generated
-// case, numbered in generation order.
-type selftestSpec struct {
-	Program string `json:"program"`
-	Faulty  bool   `json:"faulty"`
-	N       int    `json:"n"`
-	Seed    int64  `json:"seed"`
-}
-
-// selftestFactory is the worker-side factory: recompile the program and
-// regenerate the identical case set (workload generation is deterministic
-// per kind, count and seed), then serve cases as units.
-func selftestFactory(spec worker.Spec) (worker.Runner, error) {
-	if spec.Kind != specKindSelftest {
-		return nil, fmt.Errorf("worker spec kind %q, progrun serves %q", spec.Kind, specKindSelftest)
-	}
-	if fp := worker.PayloadFingerprint(spec.Kind, spec.Payload); fp != spec.Fingerprint {
-		return nil, fmt.Errorf("spec fingerprint %016x does not match payload hash %016x", spec.Fingerprint, fp)
-	}
-	var s selftestSpec
-	if err := json.Unmarshal(spec.Payload, &s); err != nil {
-		return nil, err
-	}
-	p, ok := programs.ByName(s.Program)
-	if !ok {
-		return nil, fmt.Errorf("unknown program %q", s.Program)
-	}
-	var c *cc.Compiled
-	var err error
-	if s.Faulty {
-		c, err = p.CompileFaulty()
-	} else {
-		c, err = p.Compile()
-	}
-	if err != nil {
-		return nil, err
-	}
-	cases, err := workload.Generate(p.Kind, s.N, s.Seed)
-	if err != nil {
-		return nil, err
-	}
-	return &selftestRunner{c: c, cases: cases}, nil
-}
-
-type selftestRunner struct {
-	c     *cc.Compiled
-	cases []workload.Case
-}
-
-func (r *selftestRunner) Units() int { return len(r.cases) }
-
-func (r *selftestRunner) Run(unit int) (journal.Outcome, []byte, error) {
-	cs := &r.cases[unit]
-	res, err := campaign.RunClean(r.c, cs.Input, cs.Golden, vm.DefaultMaxCycles)
-	if err != nil {
-		return journal.Outcome{}, nil, err
-	}
-	payload, err := json.Marshal(caseResult{Mode: res.Mode, State: res.State.String(), Output: string(res.Output)})
-	if err != nil {
-		return journal.Outcome{}, nil, err
-	}
-	return journal.Outcome{Mode: uint8(res.Mode)}, payload, nil
-}
-
-// selftestProc fans the cases out over supervised progrun worker
-// subprocesses and returns per-case results in case order. A case that
-// repeatedly crashes its worker comes back as a HostFault deviation rather
-// than aborting the batch.
-func selftestProc(ctx context.Context, s selftestSpec, workers int, hb *cliutil.HeartbeatFlags, fab *cliutil.FabricFlags, tel *telemetry.Telemetry) ([]caseResult, error) {
-	payload, err := json.Marshal(s)
-	if err != nil {
-		return nil, err
-	}
-	exe, err := os.Executable()
-	if err != nil {
-		return nil, err
-	}
-	storageChaos, err := fab.StorageChaos(tel.Registry())
-	if err != nil {
-		return nil, err
-	}
-	pool, err := worker.NewPool(worker.Options{
-		Workers: workers,
-		Command: func() *exec.Cmd {
-			cmd := exec.Command(exe, "-worker-mode")
-			cmd.Stderr = os.Stderr
-			return cmd
-		},
-		Spec: worker.Spec{
-			Kind:        specKindSelftest,
-			Fingerprint: worker.PayloadFingerprint(specKindSelftest, payload),
-			Payload:     payload,
-		},
-		HeartbeatInterval: hb.Interval,
-		HeartbeatTimeout:  hb.Timeout,
-		WrapPipes:         cliutil.PipeWrap(storageChaos),
-		Quarantine:        journal.Outcome{Mode: uint8(campaign.HostFault)},
-		Log: func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, "progrun: "+format+"\n", args...)
-		},
-		Metrics: telemetry.NewWorkerMetrics(tel.Registry()),
-		Tracer:  tel.Tracer(),
-	})
-	if err != nil {
-		return nil, err
-	}
-	results := make([]caseResult, s.N)
-	err = pool.Run(ctx, caseIndices(s.N), selftestResult(results))
-	if err != nil {
-		return nil, err
-	}
-	return results, nil
-}
-
-// selftestFabric shards the case set over fabric executors (progrun
-// -fabric-join) — the same contract as selftestProc, one level of
-// distribution up. Executors regenerate the identical case set from the
-// spec (generation is deterministic per kind, count and seed), so only
-// verdicts cross the wire.
-func selftestFabric(ctx context.Context, s selftestSpec, fab *cliutil.FabricFlags, hb *cliutil.HeartbeatFlags, tel *telemetry.Telemetry) ([]caseResult, error) {
-	payload, err := json.Marshal(s)
-	if err != nil {
-		return nil, err
-	}
-	chaosWrap, err := fab.ChaosWrap(tel.Registry())
-	if err != nil {
-		return nil, err
-	}
-	// Live fleet view: the tracker mirrors the coordinator's sessions for
-	// the -debug-addr server's /fleet endpoint.
-	fleet := fabric.NewFleetTracker(s.N, tel.Registry())
-	telemetry.SetFleetSource(fleet.Source())
-	defer telemetry.SetFleetSource(nil)
-	coord, err := fabric.NewCoordinator(fabric.CoordinatorOptions{
-		Addr:     fab.Listen,
-		MinHosts: fab.Hosts,
-		Spec: worker.Spec{
-			Kind:        specKindSelftest,
-			Fingerprint: worker.PayloadFingerprint(specKindSelftest, payload),
-			Payload:     payload,
-		},
-		Units:             s.N,
-		HeartbeatInterval: hb.Interval,
-		HeartbeatTimeout:  hb.Timeout,
-		SessionTimeout:    fab.SessionTimeout,
-		WrapConn:          chaosWrap,
-		Metrics:           fabric.NewMetrics(tel.Registry()),
-		Quarantine:        journal.Outcome{Mode: uint8(campaign.HostFault)},
-		Tracer:            tel.Tracer(),
-		Registry:          tel.Registry(),
-		Fleet:             fleet,
-		Log: func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, "progrun: "+format+"\n", args...)
-		},
-	})
-	if err != nil {
-		return nil, err
-	}
-	defer coord.Close()
-	results := make([]caseResult, s.N)
-	err = coord.Run(ctx, caseIndices(s.N), selftestResult(results))
-	if err != nil {
-		return nil, err
-	}
-	return results, nil
-}
-
-// caseIndices is the identity unit list 0..n-1 both batch backends take.
-func caseIndices(n int) []int {
-	indices := make([]int, n)
-	for i := range indices {
-		indices[i] = i
-	}
-	return indices
-}
-
-// selftestResult builds the verdict callback shared by the proc and fabric
-// backends: decode the payload into its case slot, mapping quarantined
-// cases to HostFault deviations.
-func selftestResult(results []caseResult) func(worker.Result) error {
-	return func(r worker.Result) error {
-		if r.Quarantined {
-			results[r.Index] = caseResult{Mode: campaign.HostFault, State: "quarantined"}
-			return nil
-		}
-		var cr caseResult
-		if err := json.Unmarshal(r.Payload, &cr); err != nil {
-			return fmt.Errorf("case %d verdict payload: %w", r.Index, err)
-		}
-		results[r.Index] = cr
-		return nil
-	}
 }

@@ -78,7 +78,6 @@ func run(args []string) error {
 	list := fs.Bool("list", false, "list experiment identifiers and exit")
 	verifyCases := fs.Int("verify-cases", 50, "input count for 'verify <program>'")
 	noFFwd := fs.Bool("no-ffwd", false, "disable golden-run checkpointing (full replay per injection)")
-	interpOnly := fs.Bool("interp-only", false, "disable the block-compiled VM engine (per-instruction interpreter; results are identical)")
 	journalPath := fs.String("journal", "", "journal the §6 campaign to this file (crash-safe; see -resume)")
 	resume := fs.Bool("resume", false, "resume the campaign from an existing -journal file")
 	unitTimeout := fs.Duration("unit-timeout", 0, "host wall-clock deadline per injection (0 = off); exceeding units are quarantined")
@@ -198,7 +197,6 @@ func run(args []string) error {
 	e.Seed = *seed
 	e.Workers = *workers
 	e.NoFastForward = *noFFwd
-	e.InterpOnly = *interpOnly
 	e.Ctx = ctx
 	e.UnitTimeout = *unitTimeout
 	e.Telemetry = tel

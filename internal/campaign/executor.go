@@ -42,8 +42,8 @@ import (
 type machinePool struct {
 	machines map[*cc.Compiled]*vm.Machine
 	degraded int
-	// interpOnly is stamped onto every handed-out machine; see
-	// Config.InterpOnly.
+	// interpOnly is stamped onto every handed-out machine, forcing step
+	// (vm.(*Machine).SetInterpOnly); only the engine A/B test sets it.
 	interpOnly bool
 	// met/w are the owning worker's metric bundle and shard index; both are
 	// zero for pools outside an instrumented campaign (calibration, clean
@@ -337,7 +337,7 @@ type execOpts struct {
 	workers     int
 	journal     *journal.Journal // completed units are appended; journaled units replayed
 	unitTimeout time.Duration    // host wall-clock deadline per unit attempt; 0 = off
-	interpOnly  bool             // force the interpreter on pooled machines (A/B reference)
+	interpOnly  bool             // force step on pooled machines (engine A/B test only)
 	// prefill, when non-nil, carries outcomes already obtained elsewhere
 	// (the proc path's circuit-breaker fallback): non-zero slots are taken
 	// as done instead of executed. Prefilled slots were already counted by

@@ -78,12 +78,6 @@ type Config struct {
 	// execution shortcut, not a semantic change); the knob exists for A/B
 	// benchmarking and as the reference in equivalence tests.
 	NoFastForward bool
-	// InterpOnly forces the per-instruction interpreter on every executor
-	// machine, disabling the block-compiled engine. The Result is
-	// bit-identical either way — the block engine's equivalence contract —
-	// so the knob exists for A/B benchmarking and as the reference side in
-	// equivalence tests.
-	InterpOnly bool
 	// Ctx, when non-nil, allows graceful interruption: once it is
 	// cancelled no new injection starts, in-flight injections drain, and
 	// Run returns an *InterruptedError carrying the partial Result.
@@ -486,7 +480,6 @@ func Run(cfg Config) (*Result, error) {
 		workers:     cfg.Workers,
 		journal:     cfg.Journal,
 		unitTimeout: cfg.UnitTimeout,
-		interpOnly:  cfg.InterpOnly,
 		met:         met,
 		tracer:      tracer,
 	}

@@ -202,7 +202,7 @@ func newFabricBatchRunner(spec worker.Spec, workers int, iso Isolation, proc *Pr
 		isolation: iso,
 		proc:      proc,
 		ex: &unitExecutor{
-			opts:  execOpts{unitTimeout: cfg.UnitTimeout, interpOnly: cfg.InterpOnly},
+			opts:  execOpts{unitTimeout: cfg.UnitTimeout},
 			units: pc.units,
 			out:   make([]unitOutcome, len(pc.units)),
 			pools: make([]*machinePool, workers),

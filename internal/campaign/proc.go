@@ -94,7 +94,6 @@ type procSpec struct {
 	Mode          int            `json:"mode"`
 	MetricGuided  bool           `json:"metric_guided"`
 	NoFastForward bool           `json:"no_fast_forward"`
-	InterpOnly    bool           `json:"interp_only"`
 	UnitTimeoutMS int64          `json:"unit_timeout_ms"`
 }
 
@@ -114,7 +113,6 @@ func procSpecFromConfig(cfg *Config, fp uint64) (worker.Spec, error) {
 		Mode:          int(cfg.Mode),
 		MetricGuided:  cfg.MetricGuided,
 		NoFastForward: cfg.NoFastForward,
-		InterpOnly:    cfg.InterpOnly,
 		UnitTimeoutMS: cfg.UnitTimeout.Milliseconds(),
 	})
 	if err != nil {
@@ -143,7 +141,6 @@ func configFromProcSpec(payload []byte) (Config, error) {
 		Mode:          injector.Mode(s.Mode),
 		MetricGuided:  s.MetricGuided,
 		NoFastForward: s.NoFastForward,
-		InterpOnly:    s.InterpOnly,
 		UnitTimeout:   time.Duration(s.UnitTimeoutMS) * time.Millisecond,
 	}, nil
 }
@@ -173,7 +170,7 @@ func WorkerFactory(spec worker.Spec) (worker.Runner, error) {
 	return &campaignRunner{
 		units: pc.units,
 		ex: &unitExecutor{
-			opts:  execOpts{unitTimeout: cfg.UnitTimeout, interpOnly: cfg.InterpOnly},
+			opts:  execOpts{unitTimeout: cfg.UnitTimeout},
 			units: pc.units,
 			out:   make([]unitOutcome, len(pc.units)),
 			pools: make([]*machinePool, 1),

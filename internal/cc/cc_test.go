@@ -600,6 +600,10 @@ func TestCompileErrors(t *testing.T) {
 		{"array dim zero", `int main() { int a[0]; return 0; }`, "positive"},
 		{"global array init", `int g[3] = 5; int main(){return 0;}`, "array initialisers"},
 		{"non-constant global init", `int g = f(); int main(){return 0;}`, "constant"},
+		{"array past load limit", `int g[1000000]; int main(){return 0;}`, "load limit"},
+		{"array size overflows int32", `int main() { int a[65536][65536]; return 0; }`, "load limit"},
+		{"globals past load limit", `char a[300000]; char b[300000]; int main(){return 0;}`, "load limit"},
+		{"image past load limit", `char a[524000]; int main(){return 0;}`, "load limit"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

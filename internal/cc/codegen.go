@@ -22,6 +22,12 @@ const (
 	spillBase   = 0              // spill area at SP+0
 	spillBytes  = maxScratch * 4 // one slot per scratch register
 	localsBase  = spillBase + spillBytes
+
+	// imageLimit bounds what a default machine can hold: vm.(*Machine).Load
+	// refuses an image whose text (loaded at vm.TextBase) and data reach
+	// past the lower half of memory. No array may be larger either, which
+	// also keeps every object size well inside int32.
+	imageLimit = vm.DefaultMemSize / 2
 )
 
 // pendingCheck is a CheckInfo whose addresses are still instruction indices
@@ -127,6 +133,9 @@ func Compile(src string) (*Compiled, error) {
 	if err != nil {
 		return nil, fmt.Errorf("cc: internal assembly error: %w", err)
 	}
+	if n := vm.TextBase + vm.WordSize*len(prog.Image.Text) + len(prog.Image.Data); n > imageLimit {
+		return nil, fmt.Errorf("cc: program image ends at byte %d, past the VM's %d-byte load limit", n, imageLimit)
+	}
 	dbg, err := cg.resolve(prog)
 	if err != nil {
 		return nil, err
@@ -164,7 +173,13 @@ func (cg *codegen) genFile() error {
 
 	// Globals go to the data segment; their symbols must exist before any
 	// function references them.
+	var dataBytes int
 	for _, g := range cg.file.Globals {
+		// Checked before Space allocates, so a source declaring many large
+		// globals fails here instead of building a huge data segment.
+		if dataBytes += int(g.Type.Size()); dataBytes > imageLimit {
+			return fmt.Errorf("cc: globals exceed the VM's %d-byte load limit", imageLimit)
+		}
 		cg.b.AlignData()
 		g.Sym = g.Name
 		if err := cg.b.DataLabel(g.Sym); err != nil {

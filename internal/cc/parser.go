@@ -151,6 +151,12 @@ func (p *parser) parseDeclRest(base *Type, name token, global bool) (*VarDecl, e
 			return nil, err
 		}
 	}
+	size := int64(base.Size())
+	for _, n := range dims {
+		if size *= int64(n); size > imageLimit {
+			return nil, errf(name.line, name.col, "array %s is larger than the VM's %d-byte load limit", name.text, imageLimit)
+		}
+	}
 	for i := len(dims) - 1; i >= 0; i-- {
 		typ = &Type{Kind: TypeArray, Elem: typ, Len: dims[i]}
 	}

@@ -93,7 +93,7 @@ func (h *HeartbeatFlags) Validate() error {
 	return nil
 }
 
-// FabricFlags carries the distributed-campaign flags shared by the CLIs:
+// FabricFlags carries swifi's distributed-campaign flags:
 // -fabric-listen makes the process a coordinator, -fabric-join an executor,
 // -fabric-hosts sets how many executors the coordinator waits for.
 type FabricFlags struct {
@@ -221,7 +221,7 @@ func PipeWrap(c *chaos.Chaos) func(io.WriteCloser, io.Reader) (io.WriteCloser, i
 	return c.WrapPipes
 }
 
-// ParseIsolation parses the -isolation flag shared by the CLIs, reporting
+// ParseIsolation parses swifi's -isolation flag, reporting
 // whether process isolation (supervised worker subprocesses) was requested.
 func ParseIsolation(s string) (proc bool, err error) {
 	switch s {

@@ -47,11 +47,6 @@ type Engine struct {
 	// prefix. Results are identical either way; the knob exists for A/B
 	// timing comparisons (swifi -no-ffwd).
 	NoFastForward bool
-	// InterpOnly forces the per-instruction interpreter on campaign
-	// machines, disabling the block-compiled engine. Results are
-	// bit-identical either way; the knob exists for A/B timing comparisons
-	// (swifi -interp-only).
-	InterpOnly bool
 	// Ctx, when non-nil, interrupts long experiments gracefully: cancelled
 	// campaigns drain in-flight injections and surface a
 	// *campaign.InterruptedError with partial tallies.
@@ -247,7 +242,6 @@ func (e *Engine) CampaignConfig() campaign.Config {
 		Mode:          e.Mode,
 		Workers:       e.Workers,
 		NoFastForward: e.NoFastForward,
-		InterpOnly:    e.InterpOnly,
 		Ctx:           e.Ctx,
 		UnitTimeout:   e.UnitTimeout,
 		Isolation:     e.Isolation,

@@ -821,80 +821,3 @@ func (x *executor) batchLoop(ctx context.Context, runner BatchRunner) error {
 		}
 	}
 }
-
-// InProcBatch adapts a worker.Factory into a BatchRunner that executes
-// units on a pool of goroutines, one runner instance per goroutine — the
-// executor-side analogue of the in-process campaign pool, reused by the
-// simple fan-out specs (faultgen plans, progrun selftests).
-func InProcBatch(factory worker.Factory, workers int) BatchFactory {
-	return func(spec worker.Spec) (BatchRunner, error) {
-		if workers < 1 {
-			workers = 1
-		}
-		runners := make([]worker.Runner, workers)
-		for i := range runners {
-			r, err := factory(spec)
-			if err != nil {
-				return nil, err
-			}
-			runners[i] = r
-		}
-		return &inProcBatch{runners: runners}, nil
-	}
-}
-
-type inProcBatch struct {
-	runners []worker.Runner
-}
-
-func (b *inProcBatch) Units() int { return b.runners[0].Units() }
-
-func (b *inProcBatch) RunBatch(ctx context.Context, units []int, skip func(int) bool, emit func(int, journal.Outcome, []byte) error) error {
-	var next int
-	var mu sync.Mutex
-	take := func() (int, bool) {
-		mu.Lock()
-		defer mu.Unlock()
-		if next >= len(units) {
-			return 0, false
-		}
-		u := units[next]
-		next++
-		return u, true
-	}
-	errc := make(chan error, len(b.runners))
-	for _, r := range b.runners {
-		go func(r worker.Runner) {
-			for {
-				if ctx.Err() != nil {
-					errc <- ctx.Err()
-					return
-				}
-				u, ok := take()
-				if !ok {
-					errc <- nil
-					return
-				}
-				if skip != nil && skip(u) {
-					continue
-				}
-				o, payload, err := r.Run(u)
-				if err != nil {
-					errc <- fmt.Errorf("unit %d: %w", u, err)
-					return
-				}
-				if err := emit(u, o, payload); err != nil {
-					errc <- err
-					return
-				}
-			}
-		}(r)
-	}
-	var first error
-	for range b.runners {
-		if err := <-errc; err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}

@@ -24,7 +24,7 @@ func testSpec() worker.Spec {
 	payload := []byte(`{"plan":"fake"}`)
 	return worker.Spec{
 		Kind:        "fabrictest/v1",
-		Fingerprint: worker.PayloadFingerprint("fabrictest/v1", payload),
+		Fingerprint: payloadFingerprint("fabrictest/v1", payload),
 		Payload:     payload,
 	}
 }
@@ -144,7 +144,7 @@ func TestFabricLoopback(t *testing.T) {
 				joinErr <- Join(ctx, coord.Addr().String(), ExecutorOptions{
 					Name:    name,
 					Workers: 2,
-					Batch:   InProcBatch(fakeFactory(units, 0), 2),
+					Batch:   inProcFactory(fakeFactory(units, 0), 2),
 				})
 			}()
 		}
@@ -206,7 +206,7 @@ func TestFabricHostLossAndSteal(t *testing.T) {
 	go func() {
 		joinErr <- Join(healthyCtx, coord.Addr().String(), ExecutorOptions{
 			Name:  "healthy",
-			Batch: InProcBatch(fakeFactory(units, 0), 1),
+			Batch: inProcFactory(fakeFactory(units, 0), 1),
 		})
 	}()
 	go func() {
@@ -262,14 +262,14 @@ func TestFabricRejectsMismatchedExecutor(t *testing.T) {
 	go func() {
 		badErr <- Join(ctx, coord.Addr().String(), ExecutorOptions{
 			Name:  "bad",
-			Batch: InProcBatch(fakeFactory(units+5, 0), 1),
+			Batch: inProcFactory(fakeFactory(units+5, 0), 1),
 		})
 	}()
 	goodErr := make(chan error, 1)
 	go func() {
 		goodErr <- Join(ctx, coord.Addr().String(), ExecutorOptions{
 			Name:  "good",
-			Batch: InProcBatch(fakeFactory(units, 0), 1),
+			Batch: inProcFactory(fakeFactory(units, 0), 1),
 		})
 	}()
 
@@ -299,7 +299,7 @@ func TestFabricExecutorErrorAborts(t *testing.T) {
 	go func() {
 		joinErr <- Join(ctx, coord.Addr().String(), ExecutorOptions{
 			Name:  "failing",
-			Batch: InProcBatch(factory, 1),
+			Batch: inProcFactory(factory, 1),
 		})
 	}()
 	err := coord.Run(context.Background(), seqIndices(units), func(r worker.Result) error { return nil })
@@ -341,7 +341,7 @@ func TestFabricLateJoiner(t *testing.T) {
 	go func() {
 		joinErr <- Join(ctx, coord.Addr().String(), ExecutorOptions{
 			Name:  "first",
-			Batch: InProcBatch(fakeFactory(units, 5*time.Millisecond), 1),
+			Batch: inProcFactory(fakeFactory(units, 5*time.Millisecond), 1),
 		})
 	}()
 	var once sync.Once
@@ -350,7 +350,7 @@ func TestFabricLateJoiner(t *testing.T) {
 			go func() {
 				joinErr <- Join(ctx, coord.Addr().String(), ExecutorOptions{
 					Name:  "late",
-					Batch: InProcBatch(fakeFactory(units, 0), 1),
+					Batch: inProcFactory(fakeFactory(units, 0), 1),
 				})
 			}()
 		})

@@ -169,7 +169,7 @@ func TestFederationLoopback(t *testing.T) {
 			joinErr <- Join(ctx, coord.Addr().String(), ExecutorOptions{
 				Name:    name,
 				Workers: 2,
-				Batch:   InProcBatch(factory, 2),
+				Batch:   inProcFactory(factory, 2),
 				// Push at heartbeat speed so the periodic path (not just the
 				// final flush) is exercised.
 				Federation:         fed,
@@ -305,7 +305,7 @@ func TestFederationOffIsInert(t *testing.T) {
 		joinErr <- Join(ctx, coord.Addr().String(), ExecutorOptions{
 			Name:    "exec-0",
 			Workers: 2,
-			Batch:   InProcBatch(fakeFactory(units, 0), 2),
+			Batch:   inProcFactory(fakeFactory(units, 0), 2),
 		})
 	}()
 	checkResults(t, collectRun(t, coord, units, nil))

@@ -134,7 +134,7 @@ func TestFabricReconnectResume(t *testing.T) {
 	go func() {
 		joinErr <- Join(ctx, rl.addr(), ExecutorOptions{
 			Name:            "flaky",
-			Batch:           InProcBatch(fakeFactory(units, 2*time.Millisecond), 1),
+			Batch:           inProcFactory(fakeFactory(units, 2*time.Millisecond), 1),
 			ReconnectWindow: 15 * time.Second,
 			Metrics:         xm,
 		})
@@ -246,7 +246,7 @@ func TestFabricCoordinatorRestartRecovery(t *testing.T) {
 	go func() {
 		joinErr <- Join(execCtx, rl.addr(), ExecutorOptions{
 			Name:            "survivor",
-			Batch:           InProcBatch(fakeFactory(units, 3*time.Millisecond), 1),
+			Batch:           inProcFactory(fakeFactory(units, 3*time.Millisecond), 1),
 			ReconnectWindow: 20 * time.Second,
 		})
 	}()
@@ -427,7 +427,7 @@ func TestFabricUnderChaos(t *testing.T) {
 			joinErr <- Join(ctx, coord.Addr().String(), ExecutorOptions{
 				Name:            name,
 				Workers:         2,
-				Batch:           InProcBatch(fakeFactory(units, time.Millisecond), 2),
+				Batch:           inProcFactory(fakeFactory(units, time.Millisecond), 2),
 				ReconnectWindow: 5 * time.Second,
 				WrapConn:        execChaos.Wrap,
 			})

@@ -83,7 +83,7 @@ func TestFabricPartitionHealSoak(t *testing.T) {
 				joinErr <- Join(ctx, coord.Addr().String(), ExecutorOptions{
 					Name:            name,
 					Workers:         2,
-					Batch:           InProcBatch(fakeFactory(units, 5*time.Millisecond), 2),
+					Batch:           inProcFactory(fakeFactory(units, 5*time.Millisecond), 2),
 					ReconnectWindow: 30 * time.Second,
 					WrapConn:        execChaos.Wrap,
 				})

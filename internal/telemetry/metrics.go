@@ -466,9 +466,9 @@ type WorkerMetrics struct {
 }
 
 // NewWorkerMetrics registers the worker-supervisor instruments on reg under
-// their canonical names; every caller that enables supervision metrics —
-// the campaign executor's proc path, faultgen, progrun — goes through here,
-// so the same registry always yields the same counter instances. A nil
+// their canonical names; every caller that enables supervision metrics
+// goes through here, so the same registry always yields the same counter
+// instances. A nil
 // registry yields a nil bundle (disabled).
 func NewWorkerMetrics(reg *Registry) *WorkerMetrics {
 	if reg == nil {

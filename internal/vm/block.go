@@ -14,8 +14,8 @@ import "encoding/binary"
 // interpreter's step, which is the single source of truth for observer and
 // expiry ordering.
 //
-// Equivalence contract: a run under the block engine is bit-identical to the
-// interpreter — same registers, memory, output, cycle counts, exception PCs
+// Equivalence contract: a run under the block engine is bit-identical to
+// step, the reference semantics — same registers, memory, output, cycle counts, exception PCs
 // and snapshot checksums. The dispatcher guarantees it by construction:
 //
 //   - A block is entered only when its whole instruction range is free of

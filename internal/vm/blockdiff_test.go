@@ -6,8 +6,8 @@ import (
 )
 
 // Differential fuzz for the block-compiled engine: every program, however
-// pathological, must behave bit-identically under the per-instruction
-// interpreter and the block engine — same final registers and condition
+// pathological, must behave bit-identically under step, the reference
+// semantics, and the block engine — same final registers and condition
 // field, same memory (via the snapshot checksum), same output, same cycle
 // count, same exception and faulting PC, same exit status. Programs are
 // generated from a seeded source, so failures replay by seed.
@@ -153,8 +153,8 @@ func captureDiff(m *Machine) diffState {
 	return d
 }
 
-// runFuzzPair generates the program for seed, runs it once on the
-// interpreter and once on the block engine (arm customizes both machines
+// runFuzzPair generates the program for seed, runs it once on step (the
+// reference) and once on the block engine (arm customizes both machines
 // identically before Run), and fails on any observable divergence. It
 // returns the cycle count so callers can assert the corpus is not vacuous.
 func runFuzzPair(t *testing.T, seed int64, arm func(m *Machine)) uint64 {
@@ -197,7 +197,7 @@ func runFuzzPair(t *testing.T, seed int64, arm func(m *Machine)) uint64 {
 	}
 	ref, blk := run(true), run(false)
 	if ref != blk {
-		t.Errorf("seed %d: interpreter and block engine diverge\ninterp: %+v\nblock:  %+v", seed, ref, blk)
+		t.Errorf("seed %d: step and block engine diverge\nstep:   %+v\nblock:  %+v", seed, ref, blk)
 	}
 	return ref.cycles
 }

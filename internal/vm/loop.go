@@ -92,7 +92,7 @@ type loopDetector struct {
 
 // ArmLoopSkip arms exact periodic-tail skipping for the next Run of a ready
 // machine and reports whether it did. Arming is refused — and the call does
-// nothing — when the interpreter is forced or a fetch hook, trap hook,
+// nothing — when SetInterpOnly forces step or a fetch hook, trap hook,
 // breakpoint hook, watchpoint or trace is armed. Hooks installed later must be
 // pure functions of the PC, address and value (the load and store hooks of
 // the campaign's lean arming are); Reset, Restore, Load and Snapshot disarm.

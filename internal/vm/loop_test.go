@@ -5,8 +5,8 @@ import (
 	"testing"
 )
 
-// These tests pin the periodic-tail skip (loop.go) to the interpreter: each
-// program runs once under -interp-only with no detector (the reference) and
+// These tests pin the periodic-tail skip (loop.go) to step, the reference
+// semantics: each program runs once with SetInterpOnly and no detector and
 // once on the block engine with the detector armed, and the two runs must
 // agree on state, exception, cycles, registers, output and the final
 // snapshot checksum.
@@ -45,8 +45,8 @@ func (c loopCase) image() Image {
 func dataBaseOf(n int) uint32 { return TextBase + uint32(n)*WordSize }
 
 // runLoopCase runs c on a fresh machine. arm selects the block engine with
-// the detector armed (which must accept); otherwise the interpreter runs
-// unarmed.
+// the detector armed (which must accept); otherwise step, the reference,
+// runs unarmed.
 func runLoopCase(t *testing.T, c loopCase, arm bool) loopRun {
 	t.Helper()
 	m := New(Config{MaxCycles: c.maxCycles})
@@ -93,7 +93,7 @@ func checkLoopCase(t *testing.T, c loopCase) uint64 {
 	skipped := got.skipped
 	got.skipped = 0
 	if got != ref {
-		t.Fatalf("armed block run differs from the interpreter:\narmed:  %+v\ninterp: %+v", got, ref)
+		t.Fatalf("armed block run differs from step:\narmed: %+v\nstep:  %+v", got, ref)
 	}
 	return skipped
 }
@@ -312,7 +312,7 @@ func TestLoopSkipSnapshotMidRun(t *testing.T) {
 		t.Fatalf("skipped %d cycles after Snapshot disarmed the detector", got.skipped)
 	}
 	if got != ref {
-		t.Fatalf("armed run differs:\narmed:  %+v\ninterp: %+v", got, ref)
+		t.Fatalf("armed run differs:\narmed: %+v\nstep:  %+v", got, ref)
 	}
 }
 
@@ -338,7 +338,7 @@ func TestLoopSkipObserverArmedLater(t *testing.T) {
 }
 
 // TestLoopSkipArmRefusals: arming is refused under observers that could see
-// what a skip jumps over, and under the forced interpreter.
+// what a skip jumps over, and when SetInterpOnly forces step.
 func TestLoopSkipArmRefusals(t *testing.T) {
 	img := buildImage([]Inst{{Op: OpB, Off26: 0}})
 	for name, setup := range map[string]func(m *Machine){

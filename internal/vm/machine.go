@@ -170,7 +170,7 @@ type Machine struct {
 	// watchdog budget. The watchdog expiring classifies the *target* as hung;
 	// the quota expiring means the *host* mis-set or lost the watchdog, so
 	// Run reports ErrCycleQuota instead of a target state. runLimit caches
-	// min(maxCycles, cycleQuota) so the hot loop keeps its single compare;
+	// min(maxCycles, cycleQuota) so each dispatch path keeps a single compare;
 	// quotaHit carries the quota verdict from the step path out to Run.
 	cycleQuota uint64
 	runLimit   uint64
@@ -198,8 +198,8 @@ type Machine struct {
 	// does not re-decode on each cycle; decodedOK marks valid entries. The
 	// cache is refreshed by Load and by WriteWord into text. Invariant:
 	// an entry with decodedOK false is the zero Inst, so its OpIllegal
-	// opcode raises ExcIllegal in execute — letting the fast loop skip the
-	// decodedOK load entirely.
+	// opcode raises ExcIllegal in execute — letting the block compiler
+	// read the cache without consulting decodedOK.
 	decoded   []Inst
 	decodedOK []bool
 
@@ -210,19 +210,13 @@ type Machine struct {
 	// read-only).
 	textWritable bool
 
-	// hot caches "no per-step observer is armed": no watchpoints, no trace
-	// ring, no fetch hook, no live breakpoint hook. Run uses it to pick the
-	// fused fast loop over the general step; every setter that arms or
-	// clears one of those observers refreshes it via updateHot. Load/store/
-	// trap hooks are irrelevant — they cost nothing on the fetch path.
-	hot bool
-
 	// Block compilation (block.go/compile.go). blocks caches one compiled
 	// basic block per text-word entry index (nil = not yet compiled);
-	// blockOK caches block-dispatch eligibility the way hot does for the
-	// fast loop — it additionally tolerates watchpoints, which the block
-	// dispatcher proves absent per block; interpOnly is the -interp-only
-	// A/B switch forcing the per-instruction paths, persistent across
+	// blockOK caches block-dispatch eligibility: no trace ring, no fetch
+	// hook, no live breakpoint hook (every setter that arms or clears one
+	// of those observers refreshes it via updateBlockOK). Watchpoints are
+	// tolerated — the block dispatcher proves them absent per block.
+	// interpOnly is the engine A/B switch forcing step, persistent across
 	// Load/Reset/Restore like the watchdog budget.
 	blocks     []*block
 	blockOK    bool
@@ -739,7 +733,7 @@ func (m *Machine) SetIABR(i int, addr uint32) error {
 	m.iabr[i] = addr
 	m.iabrSet[i] = true
 	m.iabrAny = true
-	m.updateHot()
+	m.updateBlockOK()
 	return nil
 }
 
@@ -754,33 +748,30 @@ func (m *Machine) ClearIABR(i int) {
 			m.iabrAny = true
 		}
 	}
-	m.updateHot()
+	m.updateBlockOK()
 }
 
 // SetIABRHook installs the callback run on IABR hits.
-func (m *Machine) SetIABRHook(h IABRHook) { m.iabrHook = h; m.updateHot() }
+func (m *Machine) SetIABRHook(h IABRHook) { m.iabrHook = h; m.updateBlockOK() }
 
 // SetFetchHook installs the instruction-bus corruption hook.
-func (m *Machine) SetFetchHook(h FetchHook) { m.fetchHook = h; m.updateHot() }
+func (m *Machine) SetFetchHook(h FetchHook) { m.fetchHook = h; m.updateBlockOK() }
 
-// updateHot refreshes the fast-loop and block-dispatch eligibility caches;
-// see the hot and blockOK fields. blockOK tolerates watchpoints — the block
-// dispatcher proves per block that none can fire inside it and falls back to
-// step otherwise — but needs everything else the fast loop needs.
-func (m *Machine) updateHot() {
-	m.hot = !m.watchAny && m.trace == nil && m.fetchHook == nil &&
-		!(m.iabrAny && m.iabrHook != nil)
+// updateBlockOK refreshes the block-dispatch eligibility cache; see the
+// blockOK field. Watchpoints are tolerated: the block dispatcher proves per block
+// that none can fire inside it and falls back to step otherwise.
+func (m *Machine) updateBlockOK() {
 	m.blockOK = !m.interpOnly && m.blocks != nil && m.trace == nil &&
 		m.fetchHook == nil && !(m.iabrAny && m.iabrHook != nil)
 }
 
-// SetInterpOnly forces the per-instruction interpreter paths, disabling
-// compiled-block dispatch: the -interp-only A/B switch used to validate that
-// both engines produce bit-identical runs. Unlike hooks it survives Load,
-// Reset and Restore, like the watchdog budget.
+// SetInterpOnly disables compiled-block dispatch, so every instruction runs
+// through step, the reference semantics. Tests and benchmarks use it as the
+// engine A/B switch that checks both engines produce bit-identical runs.
+// Unlike hooks it survives Load, Reset and Restore, like the watchdog budget.
 func (m *Machine) SetInterpOnly(v bool) {
 	m.interpOnly = v
-	m.updateHot()
+	m.updateBlockOK()
 }
 
 // SetLoadHook installs the data-load corruption hook.
@@ -946,111 +937,16 @@ func (m *Machine) Run() (State, error) {
 		return m.state, fmt.Errorf("vm: machine not ready (state %s)", m.state)
 	}
 	m.state = StateRunning
-	// Hot-loop invariants: the text geometry and the decoded cache's
-	// backing array are fixed for the lifetime of a run — only Load
-	// replaces them, and hooks must never re-Load a running machine.
-	// Hoisting them saves their reload on every instruction (the compiler
-	// cannot prove the execute call leaves them alone). In-place cache
-	// updates (WriteWord, PlantDecoded from a trap hook) still land in the
-	// hoisted slice's backing array.
-	decoded := m.decoded
-	textBase := m.textBase
 	for m.state == StateRunning {
-		// Compiled-block dispatch outranks both interpreter loops; it
-		// returns when the run ends or when eligibility flips (a trap hook
-		// arming an observer mid-run), so the loop re-checks and falls
-		// through to the per-instruction paths.
+		// Compiled-block dispatch returns when the run ends or when
+		// eligibility flips (a trap hook arming an observer mid-run), so the
+		// loop re-checks and falls through to step, the reference semantics
+		// the block engine is checked against.
 		if m.blockOK {
 			m.runBlocks()
 			continue
 		}
-		// The fast loop is the general step with every absent-observer
-		// check hoisted out. hot is re-read each iteration because a trap
-		// hook (which execute can invoke) may arm an observer mid-run.
-		if !m.hot {
-			m.step()
-			continue
-		}
-		if m.cycles >= m.runLimit && m.limitExpire() {
-			break
-		}
-		m.cycles++
-		pc := m.pc
-		if pc&(WordSize-1) != 0 {
-			m.raise(ExcAlign, pc)
-			break
-		}
-		idx := (pc - textBase) / WordSize
-		if idx >= uint32(len(decoded)) {
-			m.raise(ExcProt, pc)
-			break
-		}
-		// No decodedOK check: undecodable entries are kept as the zero
-		// Inst, whose OpIllegal raises ExcIllegal at pc inside execute —
-		// the same exception the check would produce.
-		//
-		// The most frequent opcodes are executed inline to spare the call
-		// into execute's full switch; each case replicates its execute
-		// counterpart exactly (the straight-vs-checkpointed equivalence
-		// tests compare the two paths instruction stream for instruction
-		// stream). The stack-overflow check runs only on writes to SP
-		// here: with no observer hooks armed, SP cannot move any other
-		// way — ops that can reach a hook (loads, stores, sc, trap) and
-		// all rarer ops take the execute path with its unconditional
-		// check.
-		in := decoded[idx]
-		switch in.Op {
-		case OpAddi:
-			m.regs[in.RD&31] = m.regs[in.RA&31] + uint32(in.Imm)
-			m.regs[0] = 0
-			if in.RD == RegSP && m.regs[RegSP] < m.stackLim && m.regs[RegSP] != 0 {
-				m.raise(ExcStackOvf, pc)
-				break
-			}
-			m.pc = pc + WordSize
-		case OpAdd:
-			m.regs[in.RD&31] = m.regs[in.RA&31] + m.regs[in.RB&31]
-			m.regs[0] = 0
-			if in.RD == RegSP && m.regs[RegSP] < m.stackLim && m.regs[RegSP] != 0 {
-				m.raise(ExcStackOvf, pc)
-				break
-			}
-			m.pc = pc + WordSize
-		case OpCmpwi:
-			m.cr[(in.RD>>2)&7] = compare(int32(m.regs[in.RA&31]), in.Imm)
-			m.pc = pc + WordSize
-		case OpCmpw:
-			m.cr[(in.RD>>2)&7] = compare(int32(m.regs[in.RA&31]), int32(m.regs[in.RB&31]))
-			m.pc = pc + WordSize
-		case OpBc:
-			if m.cr[in.RA&7].holds(Cond(in.RD)) {
-				m.pc = pc + uint32(in.Imm)
-			} else {
-				m.pc = pc + WordSize
-			}
-		case OpB:
-			m.pc = pc + uint32(in.Off26)
-		case OpBl:
-			m.lr = pc + WordSize
-			m.pc = pc + uint32(in.Off26)
-		case OpBlr:
-			m.pc = m.lr
-		case OpMflr:
-			m.regs[in.RD&31] = m.lr
-			m.regs[0] = 0
-			if in.RD == RegSP && m.regs[RegSP] < m.stackLim && m.regs[RegSP] != 0 {
-				m.raise(ExcStackOvf, pc)
-				break
-			}
-			m.pc = pc + WordSize
-		case OpMtlr:
-			m.lr = m.regs[in.RD&31]
-			m.pc = pc + WordSize
-		case OpNop:
-			m.pc = pc + WordSize
-		default:
-			m.execute(pc, in)
-		}
+		m.step()
 	}
 	m.disarmLoop()
 	if m.quotaHit {

@@ -61,15 +61,15 @@ func TestCycleQuotaBackstop(t *testing.T) {
 	}
 }
 
-// TestCycleQuotaStepPath: the quota must also fire on the general (observer)
-// step path, not just the fused hot loop. A watchpoint arms the step path.
+// TestCycleQuotaStepPath: the quota must also fire on the step path, not just
+// in the block engine. A watchpoint arms the step path.
 func TestCycleQuotaStepPath(t *testing.T) {
 	m := New(Config{MaxCycles: 1 << 40})
 	m.SetCycleQuota(300)
 	if err := m.Load(loopImage()); err != nil {
 		t.Fatal(err)
 	}
-	// A watchpoint on a never-reached address arms the general step path.
+	// A watchpoint on a never-reached address arms the step path.
 	m.SetWatch([]uint32{TextBase + 0x100}, nil, func(*Machine, uint32, bool) {})
 	if _, err := m.Run(); !errors.Is(err, ErrCycleQuota) {
 		t.Fatalf("err = %v, want ErrCycleQuota on the step path", err)

@@ -47,7 +47,7 @@ func (m *Machine) EnableTrace(n int) {
 	} else {
 		m.trace = &traceRing{buf: make([]TraceEntry, n)}
 	}
-	m.updateHot()
+	m.updateBlockOK()
 }
 
 // Trace returns the recorded instructions, oldest first. It is empty when

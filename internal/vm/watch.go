@@ -36,7 +36,7 @@ func (m *Machine) SetWatch(addrs []uint32, atCycles []uint64, h WatchHook) {
 	m.watchCyclePos = 0
 	m.watchHook = h
 	m.watchAny = h != nil && (len(addrs) > 0 || len(atCycles) > 0)
-	m.updateHot()
+	m.updateBlockOK()
 }
 
 // ClearWatch removes all watchpoints.
@@ -50,7 +50,7 @@ func (m *Machine) clearWatch() {
 	if m.watchIdx != nil {
 		clear(m.watchIdx)
 	}
-	m.updateHot()
+	m.updateBlockOK()
 }
 
 // checkWatch fires due watch hooks at the top of step: cycle marks first,

@@ -59,26 +59,11 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"hash/fnv"
 	"io"
 	"time"
 
 	"repro/internal/journal"
 )
-
-// PayloadFingerprint fingerprints a spec whose payload alone determines the
-// unit numbering: fnv64a over the kind and the payload bytes. Simple
-// fan-out specs (faultgen plans, progrun selftests) use this on both sides
-// of the handshake; campaign specs use a plan-level fingerprint instead
-// (see internal/campaign), which also covers state derived from the
-// payload, like calibrated budgets.
-func PayloadFingerprint(kind string, payload []byte) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(kind))
-	h.Write([]byte{0})
-	h.Write(payload)
-	return h.Sum64()
-}
 
 const (
 	// ProtocolVersion is the frame-format version sent in hello and echoed
