@@ -323,7 +323,7 @@ func (s *Store) release(c *cc.Compiled, m *vm.Machine) {
 func (s *Store) Stats() (records, checkpoints, pages int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	seen := make(map[*vm.Snapshot]bool)
+	seen := make(map[*byte]bool)
 	for _, e := range s.entries {
 		if e.rec == nil {
 			continue
@@ -331,15 +331,14 @@ func (s *Store) Stats() (records, checkpoints, pages int) {
 		records++
 		checkpoints += len(e.rec.Checkpoints)
 		for i := range e.rec.Checkpoints {
-			snap := e.rec.Checkpoints[i].Snap
-			if !seen[snap] {
-				seen[snap] = true
-				pages += snap.Pages()
-			}
+			e.rec.Checkpoints[i].Snap.EachPage(func(pg []byte) {
+				if !seen[&pg[0]] {
+					seen[&pg[0]] = true
+					pages++
+				}
+			})
 		}
 	}
-	// Pages shared across snapshots are still multiply counted here; the
-	// figure is an upper bound.
 	return records, checkpoints, pages
 }
 

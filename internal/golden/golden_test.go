@@ -247,3 +247,41 @@ func buildRecordForTest(t *testing.T) *Record {
 	}
 	return rec
 }
+
+// TestStatsCountsSharedPagesOnce takes two snapshots one instruction apart.
+// The second shares every page the instruction did not write with the
+// first, so the store retains the second snapshot's pages plus at most one
+// older copy of the page that instruction wrote — not the sum of both.
+func TestStatsCountsSharedPagesOnce(t *testing.T) {
+	p, wp := compiled(t, "SOR")
+	c, err := p.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws := NewWatchSet(nil)
+	full, err := NewStore().Run(c, wp.cs, vm.DefaultMaxCycles, nil, ws)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mid := full.Cycles / 2
+	st := NewStore()
+	rec, err := st.Run(c, wp.cs, vm.DefaultMaxCycles, []uint64{mid, mid + 1}, ws)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rec.Checkpoints) != 2 {
+		t.Fatalf("record has %d checkpoints, want 2", len(rec.Checkpoints))
+	}
+	a, b := rec.Checkpoints[0].Snap, rec.Checkpoints[1].Snap
+	if a.Pages() < 2 {
+		t.Fatalf("first snapshot carries %d pages; the test needs a shared one", a.Pages())
+	}
+	_, checkpoints, pages := st.Stats()
+	if checkpoints != 2 {
+		t.Fatalf("Stats checkpoints = %d, want 2", checkpoints)
+	}
+	if pages < b.Pages() || pages > b.Pages()+1 {
+		t.Errorf("Stats pages = %d for snapshots of %d and %d pages one instruction apart, want %d or %d",
+			pages, a.Pages(), b.Pages(), b.Pages(), b.Pages()+1)
+	}
+}

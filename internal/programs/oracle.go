@@ -91,6 +91,19 @@ var kdTable = knightDistances()
 
 // CamelotSolve is the reference oracle for the Camelot specification. It
 // returns the program's expected output for the given input stream.
+//
+// An optimal schedule either has the king walk to the gathering square g,
+// costing sumK(g) + kingDist(g) with sumK(g) the knights' summed distances
+// to g, or has one knight kn detour through a pickup square p, costing
+// sumK(g) - kd[kn][g] + kd[kn][p] + kingDist(p) + kd[p][g]. Rather than
+// scanning all 64 x n x 64 detours, the search prunes two ways, both
+// exact. Knight distances are shortest-path distances, so
+// kd[kn][p] + kd[p][g] >= kd[kn][g] and every schedule gathering at g costs
+// at least sumK(g) + kingDist(p) for its pickup square p (p = g for the
+// walk). A square g with sumK(g) >= best is therefore skipped, and the
+// pickup squares are scanned in order of nondecreasing kingDist(p),
+// stopping at the first with sumK(g) + kingDist(p) >= best: no later one
+// can beat best.
 func CamelotSolve(in Input) (string, error) {
 	ints := in.Ints
 	if len(ints) < 3 {
@@ -104,39 +117,77 @@ func CamelotSolve(in Input) (string, error) {
 		return "", fmt.Errorf("camelot: input needs %d ints, got %d", 3+2*n, len(ints))
 	}
 	kx, ky := ints[1], ints[2]
-	knights := make([]int32, n)
-	for i := int32(0); i < n; i++ {
+	var buf [63]int32
+	knights := buf[:n]
+	var sumK [64]int32 // sumK[g]: the knights' summed distances to g
+	for i := range knights {
 		x, y := ints[3+2*i], ints[4+2*i]
 		if x < 0 || x > 7 || y < 0 || y > 7 {
 			return "", fmt.Errorf("camelot: knight %d off board (%d,%d)", i, x, y)
 		}
 		knights[i] = x*8 + y
+		for g, d := range &kdTable[knights[i]] {
+			sumK[g] += d
+		}
 	}
+
+	var kingDist [64]int32
+	for p := range kingDist {
+		kingDist[p] = chebyshev(kx, ky, int32(p)/8, int32(p)%8)
+	}
+	order, prune := pickupOrder(kx, ky, &kingDist)
 
 	const inf = int32(1 << 29)
 	best := inf
 	for g := int32(0); g < 64; g++ {
-		gx, gy := g/8, g%8
-		kingWalk := chebyshev(kx, ky, gx, gy)
-		sumK := int32(0)
-		for _, kn := range knights {
-			sumK += kdTable[kn][g]
+		s := sumK[g]
+		if prune && s >= best {
+			continue
 		}
-		if total := sumK + kingWalk; total < best {
+		if total := s + kingDist[g]; total < best {
 			best = total
 		}
 		// One knight detours through pickup square p to carry the king.
-		for _, kn := range knights {
-			for p := int32(0); p < 64; p++ {
-				px, py := p/8, p%8
-				t := sumK - kdTable[kn][g] + kdTable[kn][p] + chebyshev(kx, ky, px, py) + kdTable[p][g]
-				if t < best {
+		for _, p := range order {
+			c := kingDist[p]
+			if prune && s+c >= best {
+				break
+			}
+			for _, kn := range knights {
+				if t := s - kdTable[kn][g] + kdTable[kn][p] + c + kdTable[p][g]; t < best {
 					best = t
 				}
 			}
 		}
 	}
 	return strconv.Itoa(int(best)) + "\n", nil
+}
+
+// pickupOrder lists the 64 squares in order of nondecreasing king distance,
+// by a counting sort over the king's possible distances 0..7. The input
+// format does not keep the king on the board, and an off-board king's
+// distances can wrap the int32 sums, where the pruning bound no longer
+// holds; such a king gets the identity order and prune = false, so
+// CamelotSolve scans every schedule exactly as the exhaustive search does.
+func pickupOrder(kx, ky int32, kingDist *[64]int32) (order [64]int32, prune bool) {
+	if kx < 0 || kx > 7 || ky < 0 || ky > 7 {
+		for p := range order {
+			order[p] = int32(p)
+		}
+		return order, false
+	}
+	var next [9]int32 // next[d]: first free slot of distance d
+	for _, d := range kingDist {
+		next[d+1]++
+	}
+	for d := 1; d < len(next); d++ {
+		next[d] += next[d-1]
+	}
+	for p, d := range kingDist {
+		order[next[d]] = int32(p)
+		next[d]++
+	}
+	return order, true
 }
 
 // --- JamesB specification ---------------------------------------------------

@@ -75,6 +75,16 @@ func (s *Snapshot) Cycles() uint64 { return s.cycles }
 // owned); a cost observability hook for tests and stats.
 func (s *Snapshot) Pages() int { return len(s.pages) }
 
+// EachPage calls fn with every page copy the snapshot carries, in no
+// particular order. A page shared with an earlier snapshot of the same
+// machine is the same slice in both, so callers can tell shared copies
+// apart by their backing array. fn must not modify the page.
+func (s *Snapshot) EachPage(fn func(page []byte)) {
+	for _, pg := range s.pages {
+		fn(pg)
+	}
+}
+
 // hdrPool recycles Checksum's header buffers: the CRC functions keep
 // their input on the heap, so a fresh buffer per call would allocate.
 var hdrPool = sync.Pool{New: func() any { b := make([]byte, 0, 1024); return &b }}

@@ -103,7 +103,7 @@ func Cached(kind programs.Kind, n int, seed int64) ([]Case, error) {
 
 // camelotInput draws up to maxKnights knights and a king, all uniform on
 // the board. The paper allowed up to 63 knights; the cap keeps a single run
-// within the simulator's cycle budget and is documented in DESIGN.md.
+// within the simulator's cycle budget and is documented in DESIGN.md §7.
 const maxKnights = 8
 
 func camelotInput(rng *rand.Rand) programs.Input {

@@ -1,6 +1,8 @@
 package workload_test
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"testing"
 
 	"repro/internal/programs"
@@ -147,6 +149,34 @@ func TestContestCases(t *testing.T) {
 		}
 		if len(cases) != workload.ContestCaseCount {
 			t.Errorf("%v: %d contest cases, want %d", kind, len(cases), workload.ContestCaseCount)
+		}
+	}
+}
+
+// TestCamelotGoldenDigests pins the oracle outputs of the two Camelot case
+// sets the experiments use: the Table 1 intensive test and the §6 300-case
+// set. The digests were computed with the brute-force oracle, so any change
+// to the oracle or the input generator that alters an answer fails here.
+func TestCamelotGoldenDigests(t *testing.T) {
+	for _, tt := range []struct {
+		n    int
+		seed int64
+		want string
+	}{
+		{60, 2099, "5b60ed4e509667c63d0bde27ee559298acff84f3609a22a223c18f43a03f9848"},
+		{300, 2000, "947e5e8427b6933609c1e421d2e092297f675a24925708e08be6a373abad9abc"},
+	} {
+		cases, err := workload.Generate(programs.KindCamelot, tt.n, tt.seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := sha256.New()
+		for _, c := range cases {
+			h.Write([]byte(c.Golden))
+			h.Write([]byte{0})
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != tt.want {
+			t.Errorf("Generate(Camelot, %d, %d) golden digest %s, want %s", tt.n, tt.seed, got, tt.want)
 		}
 	}
 }
