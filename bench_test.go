@@ -317,12 +317,8 @@ func BenchmarkTable4DiskChaos(b *testing.B) {
 		b.Fatal(err)
 	}
 	once := func(b *testing.B, cfg campaign.Config, inj *chaos.Chaos, path string) time.Duration {
-		// The CLI's gate (cliutil.JournalWrap): no disk faults, no wrapper.
-		var wrap journal.Wrap
-		if cc := inj.Config(); cc.DiskEnabled() {
-			wrap = func(f *os.File) journal.File { return inj.WrapFile(f) }
-		}
-		j, err := journal.CreateWrapped(path, wrap)
+		// The CLI's gate: no disk faults, no wrapper.
+		j, err := journal.CreateWrapped(path, campaign.JournalWrap(inj))
 		if err != nil {
 			b.Fatal(err)
 		}

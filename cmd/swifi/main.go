@@ -114,6 +114,15 @@ func run(args []string) error {
 	if err := cliutil.ValidateResume(*resume, *journalPath); err != nil {
 		return err
 	}
+	// 0 picks the worker pool's default; a negative count is a typo, not a
+	// request (a negative restart budget would trip the circuit breaker at
+	// the first worker death).
+	if *procMaxDeliveries < 0 {
+		return fmt.Errorf("-proc-max-deliveries must not be negative, got %d (0 picks the default)", *procMaxDeliveries)
+	}
+	if *procMaxRestarts < 0 {
+		return fmt.Errorf("-proc-max-restarts must not be negative, got %d (0 picks the default)", *procMaxRestarts)
+	}
 	if err := hb.Validate(); err != nil {
 		return err
 	}
@@ -161,10 +170,7 @@ func run(args []string) error {
 	// the journal and sidecar handles, the golden checkpoint poisoner and
 	// the proc-isolation pipes, so every plane draws from the same seed.
 	// nil unless the spec carries disk.*, pipe.* or poison keys.
-	storageChaos, err := fab.StorageChaos(tel.Registry())
-	if err != nil {
-		return err
-	}
+	storageChaos := campaign.StorageInjector(chaosCfg, tel.Registry())
 
 	if fab.Join != "" {
 		// Executor mode: everything about the campaign — programs, scale,
@@ -208,7 +214,6 @@ func run(args []string) error {
 			HeartbeatTimeout:  hb.Timeout,
 			MaxDeliveries:     *procMaxDeliveries,
 			MaxRestarts:       *procMaxRestarts,
-			WrapPipes:         cliutil.PipeWrap(storageChaos),
 		}
 	}
 	if fab.Listen != "" {
@@ -236,7 +241,7 @@ func run(args []string) error {
 		// Under disk chaos the journal's own file handle is wrapped: the
 		// WAL must survive the disk faults it exists to absorb (ENOSPC and
 		// friends degrade it to in-memory mode; the campaign continues).
-		wrap := cliutil.JournalWrap(storageChaos)
+		wrap := campaign.JournalWrap(storageChaos)
 		if *resume {
 			j, err = journal.OpenWrapped(*journalPath, wrap)
 		} else {

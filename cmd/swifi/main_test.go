@@ -73,4 +73,9 @@ func TestRunErrors(t *testing.T) {
 	if err := run([]string{"-progress", "sometimes", "table2"}); err == nil {
 		t.Error("bad -progress value accepted")
 	}
+	for _, flag := range []string{"-proc-max-deliveries", "-proc-max-restarts"} {
+		if err := run([]string{"-isolation", "proc", flag, "-1", "table2"}); err == nil {
+			t.Errorf("negative %s accepted", flag)
+		}
+	}
 }

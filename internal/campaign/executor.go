@@ -18,6 +18,7 @@ import (
 	"repro/internal/programs"
 	"repro/internal/telemetry"
 	"repro/internal/vm"
+	"repro/internal/worker"
 	"repro/internal/workload"
 )
 
@@ -338,39 +339,44 @@ type execOpts struct {
 	journal     *journal.Journal // completed units are appended; journaled units replayed
 	unitTimeout time.Duration    // host wall-clock deadline per unit attempt; 0 = off
 	interpOnly  bool             // force step on pooled machines (engine A/B test only)
-	// prefill, when non-nil, carries outcomes already obtained elsewhere
-	// (the proc path's circuit-breaker fallback): non-zero slots are taken
-	// as done instead of executed. Prefilled slots were already counted by
-	// whoever obtained them, so the metric/trace paths below skip them.
-	prefill []unitOutcome
 	// met/tracer instrument execution; both nil outside telemetry-carrying
 	// campaigns (the zero value keeps the legacy behaviour and cost).
 	met    *campMetrics
 	tracer *telemetry.Tracer
 }
 
-// executeUnits fans the planned units out over the worker pool and returns
-// their outcomes in unit order. Each worker keeps its own machine pool.
-func executeUnits(workers int, units []runUnit) ([]unitOutcome, error) {
-	return executeUnitsOpts(execOpts{workers: workers}, units)
+// runFunc is one dispatch topology: it runs the given unit indices and hands
+// each verdict to deliver as it arrives. Goroutines in this process
+// (unitExecutor.runLocal), a supervised worker.Pool and a fabric.Coordinator
+// all have this shape — the last two as their Run method.
+type runFunc func(ctx context.Context, todo []int, deliver func(worker.Result) error) error
+
+// executeUnitsOpts runs a campaign's units on goroutines in this process,
+// each through the per-unit isolation of runIsolated: host panics are
+// retried once on a fresh machine and then quarantined as HostFault
+// verdicts instead of crashing the process.
+func executeUnitsOpts(o execOpts, units []runUnit) ([]unitOutcome, error) {
+	return dispatch(o, units, "", newUnitExecutor(o, units).runLocal)
 }
 
-// executeUnitsOpts is the resilient executor behind every campaign:
+// dispatch is the one skeleton behind every campaign, whatever executes its
+// units — goroutines, worker subprocesses or a fleet of executor hosts:
 //
 //   - Units already on the journal are replayed from it, not executed —
 //     the resume half of crash-safe campaigns.
-//   - Each executed unit runs with per-unit isolation (see runIsolated):
-//     host panics are retried once on a fresh machine and then quarantined
-//     as HostFault verdicts instead of crashing the process.
-//   - Completed units are appended to the journal as they finish, so a kill
-//     at any point loses at most in-flight work.
-//   - Cancelling ctx stops the hand-out, drains in-flight units (and their
-//     journal appends), and returns the partial outcome slots alongside the
-//     context error — the graceful-shutdown half.
+//   - The rest go to run. Each verdict it delivers is written to its slot,
+//     counted, traced and appended to the journal as it arrives, so a kill
+//     at any point loses at most in-flight work. deliver is safe for
+//     concurrent use.
+//   - Cancelling ctx stops the hand-out and drains in-flight units (and
+//     their journal appends); the partial outcome slots come back with the
+//     context error — the graceful-shutdown half. On any other error the
+//     outcomes are nil.
 //
-// On a fatal (non-panic) unit error the outcomes are nil, as before; on
-// cancellation they are partial, with unreached slots left at mode 0.
-func executeUnitsOpts(o execOpts, units []runUnit) ([]unitOutcome, error) {
+// quarantined is the log line's reason for a unit that run reports
+// quarantined: one charged with the death of every executor it was
+// delivered to. Unreached slots are left at mode 0.
+func dispatch(o execOpts, units []runUnit, quarantined string, run runFunc) ([]unitOutcome, error) {
 	ctx := o.ctx
 	if ctx == nil {
 		ctx = context.Background()
@@ -378,10 +384,6 @@ func executeUnitsOpts(o execOpts, units []runUnit) ([]unitOutcome, error) {
 	out := make([]unitOutcome, len(units))
 	todo := make([]int, 0, len(units))
 	for i := range units {
-		if o.prefill != nil && o.prefill[i].mode != 0 {
-			out[i] = o.prefill[i]
-			continue
-		}
 		if o.journal != nil {
 			if jo, ok := o.journal.Done(i); ok {
 				out[i] = outcomeFromJournal(jo)
@@ -400,14 +402,26 @@ func executeUnitsOpts(o execOpts, units []runUnit) ([]unitOutcome, error) {
 	if len(todo) == 0 {
 		return out, nil
 	}
-	ex := &unitExecutor{
-		opts:  o,
-		units: units,
-		out:   out,
-		pools: make([]*machinePool, parallel.DefaultWorkers(o.workers)),
-	}
-	err := parallel.ForEachCtx(ctx, o.workers, len(todo), func(w, k int) error {
-		return ex.run(w, todo[k])
+	err := run(ctx, todo, func(r worker.Result) error {
+		u := &units[r.Index]
+		if r.Quarantined {
+			quarantineLog(u, quarantined, nil)
+		}
+		out[r.Index] = outcomeFromJournal(r.Outcome)
+		// The unit index picks the counter shard: concurrent deliveries
+		// rarely share one.
+		o.met.noteVerdict(r.Index, out[r.Index])
+		if o.tracer != nil {
+			v := traceUnit(telemetry.KindVerdict, r.Index, u, 0)
+			v.Mode = out[r.Index].mode.String()
+			o.tracer.Emit(v)
+		}
+		if o.journal != nil {
+			if err := o.journal.Append(r.Index, r.Outcome); err != nil {
+				return fmt.Errorf("campaign: %w", err)
+			}
+		}
+		return nil
 	})
 	if err != nil {
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
@@ -418,14 +432,24 @@ func executeUnitsOpts(o execOpts, units []runUnit) ([]unitOutcome, error) {
 	return out, nil
 }
 
-// unitExecutor carries the per-invocation state of executeUnitsOpts. Worker
-// w touches only pools[w] and the out slots of indices it claimed, so the
-// struct needs no locking.
+// unitExecutor runs units on goroutines in this process. Worker w touches
+// only pools[w], so the struct needs no locking.
 type unitExecutor struct {
 	opts  execOpts
 	units []runUnit
-	out   []unitOutcome
 	pools []*machinePool
+	// host marks a fabric executor host's executor. Its outcomes are not
+	// the campaign's verdicts — the coordinator merges those and traces
+	// them — so it traces only each unit's dispatched and executed events.
+	// skip, consulted as each unit is about to start, drops units revoked
+	// since the batch was cut; a positive pace floors each unit's wall time.
+	host bool
+	skip func(int) bool
+	pace time.Duration
+}
+
+func newUnitExecutor(o execOpts, units []runUnit) *unitExecutor {
+	return &unitExecutor{opts: o, units: units, pools: make([]*machinePool, parallel.DefaultWorkers(o.workers))}
 }
 
 func (e *unitExecutor) pool(w int) *machinePool {
@@ -443,97 +467,94 @@ func (e *unitExecutor) pool(w int) *machinePool {
 // handed to another unit.
 func (e *unitExecutor) discard(w int) { e.pools[w] = nil }
 
-// run executes one unit with isolation, observes it, and journals the
-// outcome. The observability block is bracketed on e.opts.met/tracer being
-// nil, so the uninstrumented path pays two pointer checks and no time.Now.
-func (e *unitExecutor) run(w, i int) error {
-	u := &e.units[i]
-	observed := e.opts.met != nil || e.opts.tracer != nil
-	var start time.Time
-	if observed {
-		start = time.Now()
-		if e.opts.tracer != nil {
-			e.opts.tracer.Emit(traceUnit(telemetry.KindDispatched, i, u, w))
+// runLocal is the in-process runFunc: todo fans out over the configured
+// workers, each unit runs with isolation, and each outcome is observed and
+// then delivered as it completes. The observability block is bracketed on
+// the instruments being nil, so the uninstrumented path pays three checks
+// and no time.Now.
+func (e *unitExecutor) runLocal(ctx context.Context, todo []int, deliver func(worker.Result) error) error {
+	met, tr := e.opts.met, e.opts.tracer
+	return parallel.ForEachCtx(ctx, e.opts.workers, len(todo), func(w, k int) error {
+		i := todo[k]
+		if e.skip != nil && e.skip(i) {
+			return nil
 		}
-	}
-	o, err := e.runIsolated(w, u)
-	if err != nil {
-		return fmt.Errorf("campaign: %s %s case %d: %w", u.program, u.f.ID, u.caseIx, err)
-	}
-	if observed {
-		dur := time.Since(start)
-		e.opts.met.noteVerdict(w, o)
-		if e.opts.met != nil {
-			e.opts.met.unitLatency.Observe(uint64(dur.Microseconds()))
+		u := &e.units[i]
+		var start time.Time
+		if met != nil || tr != nil || e.pace > 0 {
+			start = time.Now()
+			if tr != nil {
+				tr.Emit(traceUnit(telemetry.KindDispatched, i, u, w))
+			}
 		}
-		emitOutcomeTrace(e.opts.tracer, i, u, w, o, dur)
-	}
-	e.out[i] = o
-	if e.opts.journal != nil {
-		if err := e.opts.journal.Append(i, o.journal()); err != nil {
-			return fmt.Errorf("campaign: %w", err)
+		o, err := e.runIsolated(w, u)
+		if err != nil {
+			return fmt.Errorf("campaign: %s %s case %d: %w", u.program, u.f.ID, u.caseIx, err)
 		}
-	}
-	return nil
+		if !start.IsZero() {
+			dur := time.Since(start)
+			if met != nil {
+				met.unitLatency.Observe(uint64(dur.Microseconds()))
+			}
+			emitOutcomeTrace(tr, i, u, w, o, dur, !e.host)
+			if d := e.pace - dur; d > 0 {
+				select {
+				case <-ctx.Done():
+					return ctx.Err()
+				case <-time.After(d):
+				}
+			}
+		}
+		return deliver(worker.Result{Index: i, Outcome: o.journal()})
+	})
 }
 
-// runIsolated is the per-unit isolation policy of the tentpole: a host-side
-// panic in one injection is retried exactly once on a fresh machine (the
-// worker's whole pool is discarded — a panicking decode may have corrupted
-// any pooled machine), and a second panic — or a wall-clock timeout —
-// quarantines the unit as a HostFault verdict instead of killing the
-// campaign. Ordinary unit errors (arm failures and the like) stay fatal,
-// exactly as before.
+// runIsolated is the per-unit isolation policy: a host-side panic in one
+// injection is retried exactly once on a fresh machine (the worker's whole
+// pool is discarded — a panicking decode may have corrupted any pooled
+// machine), and a second panic — or a wall-clock timeout, or the hard cycle
+// quota on either attempt — quarantines the unit as a HostFault verdict
+// instead of killing the campaign. Ordinary unit errors (arm failures and
+// the like) stay fatal, exactly as before.
 func (e *unitExecutor) runIsolated(w int, u *runUnit) (unitOutcome, error) {
-	pool := e.pool(w)
-	d0 := pool.degraded
-	r, err, timedOut := e.attempt(pool, u, 1)
-	if timedOut {
-		e.discard(w)
-		quarantineLog(u, fmt.Sprintf("exceeded the %v unit deadline; abandoned", e.opts.unitTimeout), nil)
-		return unitOutcome{mode: HostFault}, nil
-	}
-	if errors.Is(err, vm.ErrCycleQuota) {
-		// The hard instruction quota only fires when watchdog accounting is
-		// itself broken; the unit's machine state cannot be trusted and a
-		// retry would spin just as long. Deterministic quarantine, no retry.
-		e.discard(w)
-		quarantineLog(u, fmt.Sprintf("hard cycle quota: %v", err), nil)
-		return unitOutcome{mode: HostFault}, nil
-	}
-	var pe *parallel.PanicError
-	if !errors.As(err, &pe) {
-		if err != nil {
-			return unitOutcome{}, err
+	var first *parallel.PanicError
+	for attempt := 1; ; attempt++ {
+		pool := e.pool(w)
+		d0 := pool.degraded
+		r, err, timedOut := e.attempt(pool, u, attempt)
+		onRetry := ""
+		if attempt > 1 {
+			onRetry = " on retry"
 		}
-		return unitOutcome{mode: r.Mode, activated: r.Activations > 0, degraded: pool.degraded > d0}, nil
-	}
-
-	// First attempt panicked host-side: retry once, on a brand-new pool.
-	e.discard(w)
-	fresh := e.pool(w)
-	d1 := fresh.degraded
-	r2, err2, timedOut2 := e.attempt(fresh, u, 2)
-	if timedOut2 {
+		var pe *parallel.PanicError
+		errors.As(err, &pe)
+		var reason string
+		var stack []byte
+		switch {
+		case timedOut:
+			reason = fmt.Sprintf("exceeded the %v unit deadline%s; abandoned", e.opts.unitTimeout, onRetry)
+		case errors.Is(err, vm.ErrCycleQuota):
+			// The hard instruction quota only fires when watchdog accounting
+			// is itself broken; the unit's machine state cannot be trusted
+			// and a retry would spin just as long. No retry.
+			reason = fmt.Sprintf("hard cycle quota%s: %v", onRetry, err)
+		case pe != nil && attempt == 1:
+			// First attempt panicked host-side: retry once, on a brand-new
+			// pool.
+			first = pe
+			e.discard(w)
+			continue
+		case pe != nil:
+			reason, stack = fmt.Sprintf("host panic on fresh machine after panic %v: %v", first.Value, pe.Value), pe.Stack
+		case err != nil:
+			return unitOutcome{}, err
+		default:
+			return unitOutcome{mode: r.Mode, activated: r.Activations > 0, degraded: pool.degraded > d0, retried: attempt > 1}, nil
+		}
 		e.discard(w)
-		quarantineLog(u, fmt.Sprintf("retry exceeded the %v unit deadline; abandoned", e.opts.unitTimeout), nil)
+		quarantineLog(u, reason, stack)
 		return unitOutcome{mode: HostFault}, nil
 	}
-	if errors.Is(err2, vm.ErrCycleQuota) {
-		e.discard(w)
-		quarantineLog(u, fmt.Sprintf("hard cycle quota on retry: %v", err2), nil)
-		return unitOutcome{mode: HostFault}, nil
-	}
-	var pe2 *parallel.PanicError
-	if errors.As(err2, &pe2) {
-		e.discard(w)
-		quarantineLog(u, fmt.Sprintf("host panic on fresh machine after panic %v: %v", pe.Value, pe2.Value), pe2.Stack)
-		return unitOutcome{mode: HostFault}, nil
-	}
-	if err2 != nil {
-		return unitOutcome{}, err2
-	}
-	return unitOutcome{mode: r2.Mode, activated: r2.Activations > 0, degraded: fresh.degraded > d1, retried: true}, nil
 }
 
 // attempt executes one unit attempt, optionally bounded by the host

@@ -2,7 +2,6 @@ package campaign
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -128,17 +127,8 @@ func JoinFabric(ctx context.Context, addr string, opts JoinOptions) error {
 	// only one that can fail. Checkpoint poisoning hits this host's golden
 	// store; pipe faults hit its proc-isolation workers. (This host has no
 	// journal — the verdicts live on the coordinator — so no disk wrap.)
-	inj := storageInjector(opts.Chaos, reg)
+	inj := StorageInjector(opts.Chaos, reg)
 	golden.Shared.SetPoison(poisonHook(inj))
-	proc := opts.Proc
-	if w := pipeWrap(inj); w != nil {
-		p := ProcOptions{}
-		if proc != nil {
-			p = *proc
-		}
-		p.WrapPipes = w
-		proc = &p
-	}
 	return fabric.Join(ctx, addr, fabric.ExecutorOptions{
 		Name:               opts.Name,
 		Workers:            workers,
@@ -150,109 +140,53 @@ func JoinFabric(ctx context.Context, addr string, opts JoinOptions) error {
 		FederationInterval: opts.FederationInterval,
 		Log:                opts.Log,
 		Batch: func(spec worker.Spec) (fabric.BatchRunner, error) {
-			b, err := newFabricBatchRunner(spec, workers, opts.Isolation, proc)
+			ex, err := executorFromSpec(spec, "coordinator", workers)
 			if err != nil {
 				return nil, err
 			}
-			b.pace = opts.UnitPace
-			b.met = newWorkerMetrics(reg)
-			b.tracer = tr
-			return b, nil
+			ex.opts.tracer = tr
+			ex.host, ex.pace = true, opts.UnitPace
+			return &fabricBatchRunner{
+				ex:        ex,
+				spec:      spec,
+				isolation: opts.Isolation,
+				proc:      opts.Proc,
+				storage:   inj,
+				met:       telemetry.NewWorkerMetrics(reg),
+			}, nil
 		},
 	})
 }
 
-// fabricBatchRunner executes assigned batches on the local PR 1–6 stack. It
-// re-plans once per session (not per batch) and keeps one unitExecutor with
-// per-worker machine pools across batches, so goldens, calibration and
-// pooled machines amortise over everything this host is ever assigned.
+// fabricBatchRunner executes assigned batches on the local stack. It
+// re-plans once per session (not per batch). In-process, it keeps one
+// unitExecutor with per-worker machine pools across batches, so goldens,
+// calibration and pooled machines amortise over everything this host is
+// ever assigned. Under IsolationProc that does not hold: each batch spawns
+// a fresh worker fleet, and every worker re-plans the campaign and rebuilds
+// its goldens.
 type fabricBatchRunner struct {
-	cfg       Config
-	units     []runUnit
+	ex        *unitExecutor
 	spec      worker.Spec
-	workers   int
 	isolation Isolation
 	proc      *ProcOptions
-	pace      time.Duration
+	storage   *chaos.Chaos
 	met       *telemetry.WorkerMetrics
-	tracer    *telemetry.Tracer
-	ex        *unitExecutor
 }
 
-func newFabricBatchRunner(spec worker.Spec, workers int, iso Isolation, proc *ProcOptions) (*fabricBatchRunner, error) {
-	if spec.Kind != SpecKindCampaign {
-		return nil, fmt.Errorf("campaign: fabric spec kind %q, this executor serves %q", spec.Kind, SpecKindCampaign)
-	}
-	cfg, err := configFromProcSpec(spec.Payload)
-	if err != nil {
-		return nil, err
-	}
-	pc, err := planCampaign(&cfg)
-	if err != nil {
-		return nil, fmt.Errorf("campaign: executor re-planning failed: %w", err)
-	}
-	if pc.fp != spec.Fingerprint {
-		return nil, fmt.Errorf("campaign: rebuilt plan fingerprint %016x does not match the coordinator's %016x; differing builds or configuration", pc.fp, spec.Fingerprint)
-	}
-	return &fabricBatchRunner{
-		cfg:       cfg,
-		units:     pc.units,
-		spec:      spec,
-		workers:   workers,
-		isolation: iso,
-		proc:      proc,
-		ex: &unitExecutor{
-			opts:  execOpts{unitTimeout: cfg.UnitTimeout},
-			units: pc.units,
-			out:   make([]unitOutcome, len(pc.units)),
-			pools: make([]*machinePool, workers),
-		},
-	}, nil
-}
+func (b *fabricBatchRunner) Units() int { return len(b.ex.units) }
 
-func (b *fabricBatchRunner) Units() int { return len(b.units) }
-
+// RunBatch runs a batch on the goroutine runner, or under IsolationProc on
+// a supervised worker pool. The pool owns in-flight dispatch, so there
+// units stolen after the batch was cut are filtered only at the start: a
+// mid-batch steal can execute twice, and the coordinator's merge drops the
+// duplicate.
 func (b *fabricBatchRunner) RunBatch(ctx context.Context, batch []int, skip func(int) bool, emit func(int, journal.Outcome, []byte) error) error {
-	if b.isolation == IsolationProc {
-		return b.runBatchProc(ctx, batch, skip, emit)
+	deliver := func(r worker.Result) error { return emit(r.Index, r.Outcome, r.Payload) }
+	if b.isolation != IsolationProc {
+		b.ex.skip = skip
+		return b.ex.runLocal(ctx, batch, deliver)
 	}
-	return parallel.ForEachCtx(ctx, b.workers, len(batch), func(w, k int) error {
-		u := batch[k]
-		if skip(u) {
-			return nil
-		}
-		if b.tracer != nil {
-			b.tracer.Emit(traceUnit(telemetry.KindDispatched, u, &b.units[u], w))
-		}
-		start := time.Now()
-		o, err := b.ex.runIsolated(w, &b.units[u])
-		if err != nil {
-			return fmt.Errorf("%s %s case %d: %w", b.units[u].program, b.units[u].f.ID, b.units[u].caseIx, err)
-		}
-		if b.tracer != nil {
-			e := traceUnit(telemetry.KindExecuted, u, &b.units[u], w)
-			e.DurUS = time.Since(start).Microseconds()
-			b.tracer.Emit(e)
-		}
-		if b.pace > 0 {
-			if d := b.pace - time.Since(start); d > 0 {
-				select {
-				case <-ctx.Done():
-					return ctx.Err()
-				case <-time.After(d):
-				}
-			}
-		}
-		return emit(u, o.journal(), nil)
-	})
-}
-
-// runBatchProc serves a batch through a supervised local worker pool: the
-// full sandbox semantics of IsolationProc, one subprocess fleet per batch.
-// Units stolen after the batch was cut are filtered only at the start —
-// the pool owns in-flight dispatch — so a mid-batch steal can execute
-// twice; the coordinator's merge drops the duplicate.
-func (b *fabricBatchRunner) runBatchProc(ctx context.Context, batch []int, skip func(int) bool, emit func(int, journal.Outcome, []byte) error) error {
 	todo := batch[:0:0]
 	for _, u := range batch {
 		if !skip(u) {
@@ -262,172 +196,88 @@ func (b *fabricBatchRunner) runBatchProc(ctx context.Context, batch []int, skip 
 	if len(todo) == 0 {
 		return nil
 	}
-	po := b.proc
-	if po == nil {
-		po = &ProcOptions{}
-	}
-	spawn := po.Spawn
-	if spawn == nil {
-		spawn = defaultSpawn
-	}
-	pool, err := worker.NewPool(worker.Options{
-		Workers:           b.workers,
-		Command:           spawn,
-		Spec:              b.spec,
-		HeartbeatInterval: po.HeartbeatInterval,
-		HeartbeatTimeout:  po.HeartbeatTimeout,
-		UnitTimeout:       b.cfg.UnitTimeout,
-		MaxDeliveries:     po.MaxDeliveries,
-		MaxRestarts:       po.MaxRestarts,
-		BackoffBase:       po.BackoffBase,
-		BackoffMax:        po.BackoffMax,
-		MemQuota:          po.MemQuota,
-		Quarantine:        journal.Outcome{Mode: uint8(HostFault)},
-		WrapPipes:         po.WrapPipes,
-		Metrics:           b.met,
-		Tracer:            b.tracer,
-		Log: func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, "campaign: "+format+"\n", args...)
-		},
-	})
+	pool, err := newProcPool(b.spec, b.ex.opts, b.proc, b.storage, b.met)
 	if err != nil {
 		return err
 	}
-	return pool.Run(ctx, todo, func(r worker.Result) error {
-		return emit(r.Index, r.Outcome, r.Payload)
-	})
+	return pool.Run(ctx, todo, deliver)
 }
 
-// executeUnitsFabric is the coordinator-side counterpart of
-// executeUnitsProc: journaled units are replayed exactly as everywhere
-// else, the rest are sharded over the executor fleet, and every verdict is
-// journaled as it arrives. On completion the journal is canonicalized —
-// rewritten in unit order — so its bytes are independent of which host
-// finished which unit when.
+// executeUnitsFabric is the coordinator-side runFunc under dispatch: the
+// units are sharded over the executor fleet. On completion the journal is
+// canonicalized — rewritten in unit order — so its bytes are independent
+// of which host finished which unit when.
 func executeUnitsFabric(cfg *Config, o execOpts, units []runUnit, fp uint64) ([]unitOutcome, []telemetry.HostStats, error) {
-	ctx := o.ctx
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	out := make([]unitOutcome, len(units))
-	todo := make([]int, 0, len(units))
-	for i := range units {
-		if o.journal != nil {
-			if jo, ok := o.journal.Done(i); ok {
-				out[i] = outcomeFromJournal(jo)
-				out[i].replayed = true
-				o.met.noteReplayed(out[i])
-				if o.tracer != nil {
-					e := traceUnit(telemetry.KindReplayed, i, &units[i], 0)
-					e.Mode = out[i].mode.String()
-					o.tracer.Emit(e)
+	var fleet *fabric.FleetTracker
+	out, err := dispatch(o, units, "went down with its executor host on every delivery; quarantined by the coordinator",
+		func(ctx context.Context, todo []int, deliver func(worker.Result) error) error {
+			spec, err := procSpecFromConfig(cfg, fp)
+			if err != nil {
+				return err
+			}
+			fo := cfg.Fabric
+			// The sidecar WAL journals the coordinator's scheduling state next
+			// to the verdict journal. A crashed coordinator restarted with
+			// -resume finds it and rebuilds the session table and outstanding
+			// ranges; a completed campaign removes it — only the canonical
+			// journal outlives the run.
+			side, err := openFabricSide(o.journal, fp, JournalWrap(cfg.StorageChaos))
+			if err != nil {
+				return err
+			}
+			// The fleet tracker mirrors the coordinator's session table for
+			// the /fleet endpoint, the TTY note and the report's hosts
+			// section. Its total is the distributed portion only (replayed
+			// units never cross the wire). SetFleetSource late-binds it to a
+			// -debug-addr server that started before planning.
+			reg := cfg.Telemetry.Registry()
+			fleet = fabric.NewFleetTracker(len(todo), reg)
+			telemetry.SetFleetSource(fleet.Source())
+			defer telemetry.SetFleetSource(nil)
+			coord, err := fabric.NewCoordinator(fabric.CoordinatorOptions{
+				Addr:              fo.Listen,
+				MinHosts:          fo.MinHosts,
+				Spec:              spec,
+				Units:             len(units),
+				HeartbeatInterval: fo.HeartbeatInterval,
+				HeartbeatTimeout:  fo.HeartbeatTimeout,
+				SessionTimeout:    fo.SessionTimeout,
+				MaxDeliveries:     fo.MaxDeliveries,
+				Quarantine:        journal.Outcome{Mode: uint8(HostFault)},
+				Side:              side,
+				WrapConn:          chaosWrap(fo.Chaos, reg),
+				Metrics:           fabric.NewMetrics(reg),
+				Tracer:            o.tracer,
+				Registry:          reg,
+				Fleet:             fleet,
+				Log: func(format string, args ...any) {
+					fmt.Fprintf(os.Stderr, "campaign: "+format+"\n", args...)
+				},
+			})
+			if err == nil {
+				// deliver runs on the coordinator's event-loop goroutine.
+				err = coord.Run(ctx, todo, deliver)
+			}
+			switch {
+			case side == nil:
+			case err == nil:
+				// Completed campaign: the scheduling state is spent; drop the
+				// sidecar so a later -resume replays only the verdict journal.
+				if rerr := side.Remove(); rerr != nil {
+					fmt.Fprintf(os.Stderr, "campaign: removing fabric sidecar: %v\n", rerr)
 				}
-				continue
+			default:
+				// Interrupted or failed: keep the sidecar on disk — it is
+				// exactly what a restarted coordinator needs to recover its
+				// sessions.
+				side.Close()
 			}
-		}
-		todo = append(todo, i)
+			return err
+		})
+	if out == nil || fleet == nil {
+		return out, nil, err
 	}
-	if len(todo) == 0 {
-		return out, nil, nil
-	}
-
-	spec, err := procSpecFromConfig(cfg, fp)
-	if err != nil {
-		return nil, nil, err
-	}
-	fo := cfg.Fabric
-	// The sidecar WAL journals the coordinator's scheduling state next to
-	// the verdict journal. A crashed coordinator restarted with -resume
-	// finds it and rebuilds the session table and outstanding ranges; a
-	// completed campaign removes it — only the canonical journal outlives
-	// the run.
-	side, err := openFabricSide(o.journal, fp, storageWrap(cfg.StorageChaos))
-	if err != nil {
-		return nil, nil, err
-	}
-	// The fleet tracker mirrors the coordinator's session table for the
-	// /fleet endpoint, the TTY note and the report's hosts section. Its
-	// total is the distributed portion only (replayed units never cross the
-	// wire). SetFleetSource late-binds it to a -debug-addr server that
-	// started before planning.
-	reg := cfg.Telemetry.Registry()
-	fleet := fabric.NewFleetTracker(len(todo), reg)
-	telemetry.SetFleetSource(fleet.Source())
-	defer telemetry.SetFleetSource(nil)
-	coord, err := fabric.NewCoordinator(fabric.CoordinatorOptions{
-		Addr:              fo.Listen,
-		MinHosts:          fo.MinHosts,
-		Spec:              spec,
-		Units:             len(units),
-		HeartbeatInterval: fo.HeartbeatInterval,
-		HeartbeatTimeout:  fo.HeartbeatTimeout,
-		SessionTimeout:    fo.SessionTimeout,
-		MaxDeliveries:     fo.MaxDeliveries,
-		Quarantine:        journal.Outcome{Mode: uint8(HostFault)},
-		Side:              side,
-		WrapConn:          chaosWrap(fo.Chaos, reg),
-		Metrics:           newFabricMetrics(reg),
-		Tracer:            o.tracer,
-		Registry:          reg,
-		Fleet:             fleet,
-		Log: func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, "campaign: "+format+"\n", args...)
-		},
-	})
-	if err != nil {
-		if side != nil {
-			side.Close()
-		}
-		return nil, nil, err
-	}
-
-	// onResult runs on the coordinator's event-loop goroutine, so the slot
-	// writes and journal appends are serialized, exactly as in the proc
-	// path.
-	err = coord.Run(ctx, todo, func(r worker.Result) error {
-		if r.Quarantined {
-			u := &units[r.Index]
-			quarantineLog(u, "went down with its executor host on every delivery; quarantined by the coordinator", nil)
-		}
-		out[r.Index] = outcomeFromJournal(r.Outcome)
-		o.met.noteVerdict(0, out[r.Index])
-		if o.tracer != nil {
-			u := &units[r.Index]
-			v := traceUnit(telemetry.KindVerdict, r.Index, u, 0)
-			v.Mode = out[r.Index].mode.String()
-			o.tracer.Emit(v)
-		}
-		if o.journal != nil {
-			if err := o.journal.Append(r.Index, r.Outcome); err != nil {
-				return fmt.Errorf("campaign: %w", err)
-			}
-		}
-		return nil
-	})
-	switch {
-	case err == nil:
-		// The journal is canonicalized by Run, as on every executor path.
-		// Completed campaign: the scheduling state is spent; drop the
-		// sidecar so a later -resume replays only the verdict journal.
-		if side != nil {
-			if rerr := side.Remove(); rerr != nil {
-				fmt.Fprintf(os.Stderr, "campaign: removing fabric sidecar: %v\n", rerr)
-			}
-		}
-		return out, fleet.HostStats(), nil
-	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		// Interrupted: keep the sidecar on disk — it is exactly what a
-		// restarted coordinator needs to recover its sessions.
-		if side != nil {
-			side.Close()
-		}
-		return out, fleet.HostStats(), err
-	default:
-		if side != nil {
-			side.Close()
-		}
-		return nil, nil, err
-	}
+	return out, fleet.HostStats(), err
 }
 
 // openFabricSide opens (resume) or creates the coordinator's sidecar WAL
@@ -472,22 +322,26 @@ func chaosWrap(cfg *chaos.Config, reg *telemetry.Registry) func(net.Conn) net.Co
 	return chaos.New(*cfg, chaos.NewMetrics(reg)).Wrap
 }
 
-// storageInjector builds the storage/IPC-plane injector for a chaos config;
-// nil when the config carries no disk, pipe or poison faults. It is a
-// separate instance from the connection wrapper's, which is harmless: each
-// plane's handle ordinals are counted independently, so the schedules are
-// identical either way.
-func storageInjector(cfg *chaos.Config, reg *telemetry.Registry) *chaos.Chaos {
+// StorageInjector builds the storage/IPC-plane injector for a chaos config:
+// disk.* faults hit the journal and sidecar handles (JournalWrap), pipe.*
+// faults hit proc-isolation worker pipes, disk.poison corrupts golden
+// checkpoints. nil when the config carries none of those — network-only
+// chaos keeps the storage stack unwrapped. Its counters register on reg. It
+// is a separate instance from the connection wrapper's, which is harmless:
+// each plane's handle ordinals are counted independently, so the schedules
+// are identical either way.
+func StorageInjector(cfg *chaos.Config, reg *telemetry.Registry) *chaos.Chaos {
 	if !cfg.DiskEnabled() && !cfg.PipeEnabled() && (cfg == nil || cfg.DiskPoison <= 0) {
 		return nil
 	}
 	return chaos.New(*cfg, chaos.NewMetrics(reg))
 }
 
-// storageWrap adapts a storage-chaos injector into the journal package's
-// File substitution hook; nil (no wrapping) unless disk faults are
-// configured.
-func storageWrap(c *chaos.Chaos) journal.Wrap {
+// JournalWrap adapts a storage-chaos injector into the journal package's
+// File substitution hook (journal.CreateWrapped / OpenWrapped); nil (no
+// wrapping) unless disk faults are configured, so clean runs take the
+// unwrapped *os.File path.
+func JournalWrap(c *chaos.Chaos) journal.Wrap {
 	if cc := c.Config(); !cc.DiskEnabled() {
 		return nil
 	}
@@ -502,10 +356,4 @@ func pipeWrap(c *chaos.Chaos) func(io.WriteCloser, io.Reader) (io.WriteCloser, i
 		return nil
 	}
 	return c.WrapPipes
-}
-
-// newFabricMetrics registers the coordinator's instruments on reg; nil
-// registry, nil bundle (metrics off).
-func newFabricMetrics(reg *telemetry.Registry) *fabric.Metrics {
-	return fabric.NewMetrics(reg)
 }

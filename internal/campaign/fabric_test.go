@@ -5,6 +5,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -215,5 +216,85 @@ func TestFabricResumesJournal(t *testing.T) {
 	}
 	if !sameEntries(res, ref) {
 		t.Error("resuming a journal under the fabric changed the campaign outcome")
+	}
+}
+
+// TestFabricProcExecutorMatchesSerial: a fabric whose second executor runs
+// its batches under process isolation (JoinOptions.Isolation, spawning this
+// test binary's worker mode) must reproduce a serial in-process run: a
+// deep-equal Result, the fleet breakdown aside, and a byte-identical
+// canonical journal. The in-process executor is paced so that it cannot
+// steal the whole campaign before the proc executor's workers are up.
+func TestFabricProcExecutorMatchesSerial(t *testing.T) {
+	serialPath := filepath.Join(t.TempDir(), "serial.wal")
+	js, err := journal.Create(serialPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	serial := isolationConfig()
+	serial.Workers = 1
+	serial.Journal = js
+	ref, err := Run(serial)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := js.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	fabricPath := filepath.Join(t.TempDir(), "fabric.wal")
+	jf, err := journal.Create(fabricPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := freeLoopbackAddr(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var wg sync.WaitGroup
+	for _, opts := range []JoinOptions{
+		{Name: "exec-inproc", Workers: 2, UnitPace: 20 * time.Millisecond},
+		{Name: "exec-proc", Workers: 2, Isolation: IsolationProc, Proc: procConfig().Proc},
+	} {
+		wg.Add(1)
+		go func(opts JoinOptions) {
+			defer wg.Done()
+			joinUntilDone(ctx, t, addr, opts)
+		}(opts)
+	}
+	cfg := fabricConfig(addr, 2)
+	cfg.Journal = jf
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cancel()
+	wg.Wait()
+	if err := jf.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	var procMerged int
+	for _, h := range res.Hosts {
+		if h.Name == "exec-proc" {
+			procMerged = h.Merged
+		}
+	}
+	if procMerged == 0 {
+		t.Errorf("the proc executor delivered none of the merged verdicts (hosts %+v); the test proved nothing", res.Hosts)
+	}
+	res.Hosts = nil
+	if !reflect.DeepEqual(res, ref) {
+		t.Errorf("fabric with a proc executor changed the Result:\nfabric: %+v\nserial: %+v", res, ref)
+	}
+	want, err := os.ReadFile(serialPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(fabricPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want) == 0 || string(got) != string(want) {
+		t.Fatalf("fabric journal (%d bytes) differs from the serial journal (%d bytes)", len(got), len(want))
 	}
 }

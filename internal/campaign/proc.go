@@ -10,6 +10,7 @@ import (
 	"os/exec"
 	"time"
 
+	"repro/internal/chaos"
 	"repro/internal/fault"
 	"repro/internal/injector"
 	"repro/internal/journal"
@@ -66,14 +67,14 @@ type ProcOptions struct {
 	HeartbeatTimeout  time.Duration
 	MaxDeliveries     int
 	MaxRestarts       int
-	MemQuota          int64
 	BackoffBase       time.Duration
 	BackoffMax        time.Duration
 
 	// WrapPipes, when non-nil, interposes on every worker subprocess's
 	// stdin/stdout pair — the storage/IPC chaos plane's hook for corrupting,
 	// truncating or severing supervisor pipes (see worker.Options.WrapPipes).
-	// Production paths leave it nil.
+	// nil takes the pipe faults of the campaign's storage chaos, if any
+	// (Config.StorageChaos; JoinOptions.Chaos on an executor host).
 	WrapPipes func(w io.WriteCloser, r io.Reader) (io.WriteCloser, io.Reader)
 }
 
@@ -145,16 +146,16 @@ func configFromProcSpec(payload []byte) (Config, error) {
 	}, nil
 }
 
-// WorkerFactory is the worker.Factory for campaign specs: it re-plans the
-// campaign from the spec payload, verifies the rebuilt plan's fingerprint
-// against the supervisor's (a mismatch means differing builds or program
-// tables — executing under a wrong unit numbering would corrupt the
-// campaign silently), and serves units through the same per-unit isolation
-// path (runIsolated) the in-process executor uses, so panic-retry, timeout
-// and cycle-quota semantics are identical in both modes.
-func WorkerFactory(spec worker.Spec) (worker.Runner, error) {
+// executorFromSpec is the receiving side of a campaign spec, shared by worker
+// subprocesses and fabric executor hosts: it re-plans the campaign from the
+// spec payload and verifies the rebuilt plan's fingerprint against the
+// sender's (a mismatch means differing builds or program tables — executing
+// under a wrong unit numbering would corrupt the campaign silently). The
+// returned executor serves the plan's units on the given number of
+// goroutines, with the spec's unit timeout.
+func executorFromSpec(spec worker.Spec, sender string, workers int) (*unitExecutor, error) {
 	if spec.Kind != SpecKindCampaign {
-		return nil, fmt.Errorf("campaign: worker spec kind %q, this factory serves %q", spec.Kind, SpecKindCampaign)
+		return nil, fmt.Errorf("campaign: spec kind %q from the %s, this process serves %q", spec.Kind, sender, SpecKindCampaign)
 	}
 	cfg, err := configFromProcSpec(spec.Payload)
 	if err != nil {
@@ -162,20 +163,25 @@ func WorkerFactory(spec worker.Spec) (worker.Runner, error) {
 	}
 	pc, err := planCampaign(&cfg)
 	if err != nil {
-		return nil, fmt.Errorf("campaign: worker re-planning failed: %w", err)
+		return nil, fmt.Errorf("campaign: re-planning the %s's campaign failed: %w", sender, err)
 	}
 	if pc.fp != spec.Fingerprint {
-		return nil, fmt.Errorf("campaign: rebuilt plan fingerprint %016x does not match the supervisor's %016x; differing builds or configuration", pc.fp, spec.Fingerprint)
+		return nil, fmt.Errorf("campaign: rebuilt plan fingerprint %016x does not match the %s's %016x; differing builds or configuration", pc.fp, sender, spec.Fingerprint)
 	}
-	return &campaignRunner{
-		units: pc.units,
-		ex: &unitExecutor{
-			opts:  execOpts{unitTimeout: cfg.UnitTimeout},
-			units: pc.units,
-			out:   make([]unitOutcome, len(pc.units)),
-			pools: make([]*machinePool, 1),
-		},
-	}, nil
+	return newUnitExecutor(execOpts{workers: workers, unitTimeout: cfg.UnitTimeout}, pc.units), nil
+}
+
+// WorkerFactory is the worker.Factory for campaign specs: it re-plans the
+// campaign (executorFromSpec) and serves units through the same per-unit
+// isolation path (runIsolated) the in-process executor uses, so
+// panic-retry, timeout and cycle-quota semantics are identical in both
+// modes.
+func WorkerFactory(spec worker.Spec) (worker.Runner, error) {
+	ex, err := executorFromSpec(spec, "supervisor", 1)
+	if err != nil {
+		return nil, err
+	}
+	return campaignRunner{ex}, nil
 }
 
 // campaignRunner executes units inside a worker process. It is a
@@ -183,23 +189,20 @@ func WorkerFactory(spec worker.Spec) (worker.Runner, error) {
 // subprocesses are single-threaded unit servers that run their window of
 // units one at a time, in order (parallelism lives in the pool, one
 // process per slot), so slot 0 is the only pool.
-type campaignRunner struct {
-	units []runUnit
-	ex    *unitExecutor
-}
+type campaignRunner struct{ ex *unitExecutor }
 
-func (r *campaignRunner) Units() int { return len(r.units) }
+func (r campaignRunner) Units() int { return len(r.ex.units) }
 
 // testProcUnitHook, when non-nil (worker processes in tests only), runs
 // before each unit a campaignRunner serves; it may kill or stop the worker
 // process to exercise the supervisor.
 var testProcUnitHook func(unit int)
 
-func (r *campaignRunner) Run(unit int) (journal.Outcome, []byte, error) {
+func (r campaignRunner) Run(unit int) (journal.Outcome, []byte, error) {
 	if h := testProcUnitHook; h != nil {
 		h(unit)
 	}
-	o, err := r.ex.runIsolated(0, &r.units[unit])
+	o, err := r.ex.runIsolated(0, &r.ex.units[unit])
 	if err != nil {
 		return journal.Outcome{}, nil, err
 	}
@@ -217,45 +220,12 @@ func defaultSpawn() *exec.Cmd {
 	return cmd
 }
 
-// executeUnitsProc is the IsolationProc counterpart of executeUnitsOpts:
-// journaled units are replayed exactly as in-process, the rest are driven
-// through a supervised worker pool, and every verdict is journaled as it
-// arrives. If the pool's circuit breaker trips — the host cannot keep
-// worker subprocesses alive — the campaign degrades to in-process execution
-// for the units still missing rather than failing, with the completed
-// verdicts carried over via the prefill slots.
-func executeUnitsProc(cfg *Config, o execOpts, units []runUnit, fp uint64) ([]unitOutcome, error) {
-	ctx := o.ctx
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	out := make([]unitOutcome, len(units))
-	todo := make([]int, 0, len(units))
-	for i := range units {
-		if o.journal != nil {
-			if jo, ok := o.journal.Done(i); ok {
-				out[i] = outcomeFromJournal(jo)
-				out[i].replayed = true
-				o.met.noteReplayed(out[i])
-				if o.tracer != nil {
-					e := traceUnit(telemetry.KindReplayed, i, &units[i], 0)
-					e.Mode = out[i].mode.String()
-					o.tracer.Emit(e)
-				}
-				continue
-			}
-		}
-		todo = append(todo, i)
-	}
-	if len(todo) == 0 {
-		return out, nil
-	}
-
-	spec, err := procSpecFromConfig(cfg, fp)
-	if err != nil {
-		return nil, err
-	}
-	po := cfg.Proc
+// newProcPool builds the supervised worker pool behind IsolationProc, for a
+// campaign (executeUnitsProc) and a fabric executor host's batches alike:
+// o.workers slots serving spec, with o's unit timeout and tracer. po's zero
+// fields pick the worker package defaults; a nil Spawn re-executes this
+// binary in worker mode, and a nil WrapPipes takes storage's pipe faults.
+func newProcPool(spec worker.Spec, o execOpts, po *ProcOptions, storage *chaos.Chaos, met *telemetry.WorkerMetrics) (*worker.Pool, error) {
 	if po == nil {
 		po = &ProcOptions{}
 	}
@@ -263,11 +233,11 @@ func executeUnitsProc(cfg *Config, o execOpts, units []runUnit, fp uint64) ([]un
 	if spawn == nil {
 		spawn = defaultSpawn
 	}
-	var wm *telemetry.WorkerMetrics
-	if o.met != nil && cfg.Telemetry != nil {
-		wm = newWorkerMetrics(cfg.Telemetry.Registry())
+	wrap := po.WrapPipes
+	if wrap == nil {
+		wrap = pipeWrap(storage)
 	}
-	pool, err := worker.NewPool(worker.Options{
+	return worker.NewPool(worker.Options{
 		Workers:           parallel.DefaultWorkers(o.workers),
 		Command:           spawn,
 		Spec:              spec,
@@ -278,55 +248,49 @@ func executeUnitsProc(cfg *Config, o execOpts, units []runUnit, fp uint64) ([]un
 		MaxRestarts:       po.MaxRestarts,
 		BackoffBase:       po.BackoffBase,
 		BackoffMax:        po.BackoffMax,
-		MemQuota:          po.MemQuota,
 		Quarantine:        journal.Outcome{Mode: uint8(HostFault)},
-		WrapPipes:         po.WrapPipes,
-		Metrics:           wm,
+		WrapPipes:         wrap,
+		Metrics:           met,
 		Tracer:            o.tracer,
 		Log: func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, "campaign: "+format+"\n", args...)
 		},
 	})
-	if err != nil {
-		return nil, err
-	}
+}
 
-	// onResult is serialized by the pool, so the slot writes and journal
-	// appends need no further locking.
-	err = pool.Run(ctx, todo, func(r worker.Result) error {
-		if r.Quarantined {
-			u := &units[r.Index]
-			quarantineLog(u, "crashed its worker subprocess on every delivery; quarantined by the supervisor", nil)
-		}
-		out[r.Index] = outcomeFromJournal(r.Outcome)
-		o.met.noteVerdict(0, out[r.Index])
-		if o.tracer != nil {
-			u := &units[r.Index]
-			v := traceUnit(telemetry.KindVerdict, r.Index, u, 0)
-			v.Mode = out[r.Index].mode.String()
-			o.tracer.Emit(v)
-		}
-		if o.journal != nil {
-			if err := o.journal.Append(r.Index, r.Outcome); err != nil {
-				return fmt.Errorf("campaign: %w", err)
+// executeUnitsProc is the IsolationProc runFunc under dispatch: the units
+// are driven through a supervised worker pool. If the pool's circuit
+// breaker trips — the host cannot keep worker subprocesses alive — the
+// units still missing run in-process instead of failing the campaign.
+func executeUnitsProc(cfg *Config, o execOpts, units []runUnit, fp uint64) ([]unitOutcome, error) {
+	return dispatch(o, units, "crashed its worker subprocess on every delivery; quarantined by the supervisor",
+		func(ctx context.Context, todo []int, deliver func(worker.Result) error) error {
+			spec, err := procSpecFromConfig(cfg, fp)
+			if err != nil {
+				return err
 			}
-		}
-		return nil
-	})
-	switch {
-	case err == nil:
-		return out, nil
-	case errors.Is(err, worker.ErrCircuitOpen):
-		// Graceful degradation: process isolation is unavailable on this
-		// host right now, but the campaign itself is fine. Finish the
-		// missing units in-process; completed verdicts ride along as
-		// prefilled slots (and are already journaled).
-		fmt.Fprintf(os.Stderr, "campaign: process isolation degraded to in-process execution (%v)\n", err)
-		o.prefill = out
-		return executeUnitsOpts(o, units)
-	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		return out, err
-	default:
-		return nil, err
-	}
+			pool, err := newProcPool(spec, o, cfg.Proc, cfg.StorageChaos, telemetry.NewWorkerMetrics(cfg.Telemetry.Registry()))
+			if err != nil {
+				return err
+			}
+			// The pool serializes its callbacks, so done needs no lock.
+			done := make([]bool, len(units))
+			err = pool.Run(ctx, todo, func(r worker.Result) error {
+				done[r.Index] = true
+				return deliver(r)
+			})
+			if !errors.Is(err, worker.ErrCircuitOpen) {
+				return err
+			}
+			// Graceful degradation: process isolation is unavailable on this
+			// host right now, but the campaign itself is fine.
+			fmt.Fprintf(os.Stderr, "campaign: process isolation degraded to in-process execution (%v)\n", err)
+			rest := todo[:0:0]
+			for _, i := range todo {
+				if !done[i] {
+					rest = append(rest, i)
+				}
+			}
+			return newUnitExecutor(o, units).runLocal(ctx, rest, deliver)
+		})
 }

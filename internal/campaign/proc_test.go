@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/journal"
+	"repro/internal/telemetry"
 	"repro/internal/worker"
 )
 
@@ -234,6 +235,43 @@ func TestProcCircuitBreakerFallsBack(t *testing.T) {
 	}
 	if res.Exec != ref.Exec {
 		t.Errorf("fallback ExecStats %+v, in-process %+v", res.Exec, ref.Exec)
+	}
+}
+
+// TestProcCircuitBreakerKeepsVerdicts: when the breaker trips mid-campaign
+// (here a unit kills every worker it reaches), the verdicts the pool
+// already delivered stay, and only the units still missing run in-process:
+// every unit is delivered exactly once and the Result is unchanged.
+func TestProcCircuitBreakerKeepsVerdicts(t *testing.T) {
+	ref, err := Run(isolationConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := procConfig("REPRO_WORKER_KILL_UNIT=" + strconv.Itoa(ref.Runs/2))
+	cfg.Proc.MaxRestarts = 1
+	cfg.Proc.MaxDeliveries = 10
+	tel := &telemetry.Telemetry{Reg: telemetry.NewRegistry(), Trace: telemetry.NewTracer(telemetry.DefaultTraceCap)}
+	cfg.Telemetry = tel
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatalf("campaign died behind the circuit breaker: %v", err)
+	}
+	if !sameEntries(res, ref) || res.Exec != ref.Exec {
+		t.Errorf("the breaker changed the campaign outcome: ExecStats %+v, in-process %+v", res.Exec, ref.Exec)
+	}
+	c := tel.Reg.Counters()
+	if c["worker_breaker_open"] != 1 {
+		t.Fatal("the circuit breaker never tripped; the test proved nothing")
+	}
+	if got := c["campaign_units_executed_total"]; got != uint64(res.Runs) {
+		t.Errorf("campaign_units_executed_total = %d, want %d: a unit was delivered twice or never", got, res.Runs)
+	}
+	sum := tel.Trace.Summary()
+	if sum[telemetry.KindVerdict] != res.Runs {
+		t.Errorf("trace holds %d verdicts, want %d", sum[telemetry.KindVerdict], res.Runs)
+	}
+	if n := sum[telemetry.KindDispatched]; n == 0 || n == res.Runs {
+		t.Errorf("the in-process fallback ran %d of %d units; want some but not all", n, res.Runs)
 	}
 }
 

@@ -20,7 +20,8 @@ import (
 
 // campMetrics is the executor's instrument bundle, registered once per
 // campaign-carrying registry. Counter updates on the unit path use the
-// worker index as the shard, so parallel workers do not contend.
+// worker or the unit index as the shard, so parallel workers rarely
+// contend.
 type campMetrics struct {
 	unitsTotal    *telemetry.Gauge   // units planned (accumulates over sequential campaigns)
 	unitsDone     *telemetry.Counter // executed + replayed
@@ -44,7 +45,7 @@ type campMetrics struct {
 	restarts *telemetry.Counter
 
 	// fabricHosts/fabricDeaths are the coordinator's fleet instruments
-	// (same registry, same names as newFabricMetrics registers), read by
+	// (same registry, same names as fabric.NewMetrics registers), read by
 	// the progress note so a distributed campaign's live line shows the
 	// fleet size and losses. Both stay zero on single-host runs.
 	fabricHosts  *telemetry.Gauge
@@ -174,12 +175,6 @@ func (m *campMetrics) snapshot() telemetry.ProgressSnap {
 	return s
 }
 
-// newWorkerMetrics registers the worker-supervisor instruments on reg; nil
-// registry, nil bundle (the supervisor treats that as disabled).
-func newWorkerMetrics(reg *telemetry.Registry) *telemetry.WorkerMetrics {
-	return telemetry.NewWorkerMetrics(reg)
-}
-
 // newJournalMetrics registers the journal instruments on reg.
 func newJournalMetrics(reg *telemetry.Registry) telemetry.JournalMetrics {
 	if reg == nil {
@@ -217,14 +212,18 @@ func traceUnit(kind string, i int, u *runUnit, w int) telemetry.Event {
 }
 
 // emitOutcomeTrace emits the post-execution events of one unit: executed
-// (with duration), the resilience flags, and the verdict.
-func emitOutcomeTrace(tr *telemetry.Tracer, i int, u *runUnit, w int, o unitOutcome, dur time.Duration) {
+// (with duration) and, with flags, the resilience flags. The verdict event
+// follows on delivery (dispatch).
+func emitOutcomeTrace(tr *telemetry.Tracer, i int, u *runUnit, w int, o unitOutcome, dur time.Duration, flags bool) {
 	if tr == nil {
 		return
 	}
 	e := traceUnit(telemetry.KindExecuted, i, u, w)
 	e.DurUS = dur.Microseconds()
 	tr.Emit(e)
+	if !flags {
+		return
+	}
 	if o.retried {
 		tr.Emit(traceUnit(telemetry.KindRetry, i, u, w))
 	}
@@ -234,9 +233,6 @@ func emitOutcomeTrace(tr *telemetry.Tracer, i int, u *runUnit, w int, o unitOutc
 	if o.mode == HostFault {
 		tr.Emit(traceUnit(telemetry.KindQuarantine, i, u, w))
 	}
-	v := traceUnit(telemetry.KindVerdict, i, u, w)
-	v.Mode = o.mode.String()
-	tr.Emit(v)
 }
 
 // ModeTally converts a failure-mode distribution into the report's

@@ -119,7 +119,7 @@ func RunTriggerStudyWorkers(programName string, nLocs, nCases int, seed int64, w
 			}
 		}
 	}
-	outcomes, err := executeUnits(workers, units)
+	outcomes, err := executeUnitsOpts(execOpts{workers: workers}, units)
 	if err != nil {
 		return nil, err
 	}

@@ -10,14 +10,9 @@ package cliutil
 import (
 	"flag"
 	"fmt"
-	"io"
-	"net"
-	"os"
 	"time"
 
 	"repro/internal/chaos"
-	"repro/internal/journal"
-	"repro/internal/telemetry"
 )
 
 // ValidateWorkers rejects worker counts below 1. The flag defaults to
@@ -171,54 +166,6 @@ func (f *FabricFlags) ChaosConfig() (*chaos.Config, error) {
 		return nil, fmt.Errorf("-chaos: %w", err)
 	}
 	return &cfg, nil
-}
-
-// ChaosWrap builds the connection wrapper for the -chaos spec, registering
-// the injector's counters on reg (nil reg: injection without metrics). An
-// empty spec returns a nil wrapper — the fabric's "no wrapping" value.
-func (f *FabricFlags) ChaosWrap(reg *telemetry.Registry) (func(net.Conn) net.Conn, error) {
-	cfg, err := f.ChaosConfig()
-	if err != nil || cfg == nil {
-		return nil, err
-	}
-	return chaos.New(*cfg, chaos.NewMetrics(reg)).Wrap, nil
-}
-
-// StorageChaos builds the storage/IPC-plane injector for the -chaos spec:
-// the disk.* keys fault the journal and sidecar handles (JournalWrap), the
-// pipe.* keys fault proc-isolation worker pipes (PipeWrap), disk.poison
-// corrupts golden checkpoints. A spec with none of those returns nil —
-// network-only chaos keeps the storage stack entirely unwrapped.
-func (f *FabricFlags) StorageChaos(reg *telemetry.Registry) (*chaos.Chaos, error) {
-	cfg, err := f.ChaosConfig()
-	if err != nil || cfg == nil {
-		return nil, err
-	}
-	if !cfg.DiskEnabled() && !cfg.PipeEnabled() && cfg.DiskPoison <= 0 {
-		return nil, nil
-	}
-	return chaos.New(*cfg, chaos.NewMetrics(reg)), nil
-}
-
-// JournalWrap adapts a storage-chaos injector into the journal package's
-// File substitution hook (journal.CreateWrapped / OpenWrapped); nil unless
-// disk faults are configured, so clean runs take the unwrapped *os.File
-// path.
-func JournalWrap(c *chaos.Chaos) journal.Wrap {
-	if cc := c.Config(); !cc.DiskEnabled() {
-		return nil
-	}
-	return func(f *os.File) journal.File { return c.WrapFile(f) }
-}
-
-// PipeWrap adapts a storage-chaos injector into the worker supervisor's
-// pipe interposition hook (campaign.ProcOptions.WrapPipes); nil unless pipe
-// faults are configured.
-func PipeWrap(c *chaos.Chaos) func(io.WriteCloser, io.Reader) (io.WriteCloser, io.Reader) {
-	if cc := c.Config(); !cc.PipeEnabled() {
-		return nil
-	}
-	return c.WrapPipes
 }
 
 // ParseIsolation parses swifi's -isolation flag, reporting

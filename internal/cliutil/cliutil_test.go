@@ -150,9 +150,6 @@ func TestFabricValidate(t *testing.T) {
 	if cfg, err := f.ChaosConfig(); err != nil || cfg != nil {
 		t.Errorf("empty spec ChaosConfig() = %+v, %v, want nil, nil", cfg, err)
 	}
-	if wrap, err := f.ChaosWrap(nil); err != nil || wrap != nil {
-		t.Errorf("empty spec ChaosWrap(): wrap non-nil=%v err=%v, want nil, nil", wrap != nil, err)
-	}
 }
 
 func TestParseIsolation(t *testing.T) {
