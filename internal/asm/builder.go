@@ -251,11 +251,3 @@ func (b *Builder) Assemble(entry string) (*Program, error) {
 		symByName: byName,
 	}, nil
 }
-
-// DataBaseOf returns the absolute base address the data segment will have
-// once the current text is assembled. Useful for compilers that must emit
-// absolute data addresses before assembly. It must be called after all
-// instructions have been emitted.
-func (b *Builder) DataBaseOf() uint32 {
-	return vm.TextBase + uint32(len(b.items))*vm.WordSize
-}

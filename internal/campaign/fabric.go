@@ -40,9 +40,6 @@ type FabricOptions struct {
 	// loopback. WAN links want looser deadlines.
 	HeartbeatInterval time.Duration
 	HeartbeatTimeout  time.Duration
-	// MaxDeliveries is how many executor hosts a unit may go down with
-	// before it is quarantined as a HostFault; 0 means 3.
-	MaxDeliveries int
 	// SessionTimeout is how long an executor session survives a lost
 	// connection before its units are redelivered; zero derives 2× the
 	// heartbeat timeout.
@@ -242,7 +239,6 @@ func executeUnitsFabric(cfg *Config, o execOpts, units []runUnit, fp uint64) ([]
 				HeartbeatInterval: fo.HeartbeatInterval,
 				HeartbeatTimeout:  fo.HeartbeatTimeout,
 				SessionTimeout:    fo.SessionTimeout,
-				MaxDeliveries:     fo.MaxDeliveries,
 				Quarantine:        journal.Outcome{Mode: uint8(HostFault)},
 				Side:              side,
 				WrapConn:          chaosWrap(fo.Chaos, reg),

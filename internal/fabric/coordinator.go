@@ -32,7 +32,7 @@ type Metrics struct {
 	// grace window — before the campaign finished. A connection loss alone
 	// is not a death; the executor gets SessionTimeout to re-attach.
 	HostDeaths *telemetry.Counter
-	// Quarantines counts units that exhausted MaxDeliveries host deaths.
+	// Quarantines counts units that exhausted maxHostDeaths host deaths.
 	Quarantines *telemetry.Counter
 	// Resumed counts sessions that re-attached after a connection loss
 	// (coordinator restarts included).
@@ -64,11 +64,12 @@ type CoordinatorOptions struct {
 	// plan disagrees is rejected at the handshake.
 	Units int
 
-	// HeartbeatInterval is the cadence both sides beat at (default 500ms).
-	// HeartbeatTimeout is how long either side tolerates total silence
-	// before declaring its peer's connection dead (default 10s). WAN links
-	// want looser values than the defaults, which are inherited from the
-	// pipe-local worker supervisor.
+	// HeartbeatInterval is the cadence both sides beat at
+	// (worker.DefaultHeartbeatInterval). HeartbeatTimeout is how long
+	// either side tolerates total silence before declaring its peer's
+	// connection dead (worker.DefaultHeartbeatTimeout). WAN links want
+	// looser values than the defaults, which are the pipe-local worker
+	// supervisor's.
 	HeartbeatInterval time.Duration
 	HeartbeatTimeout  time.Duration
 
@@ -79,12 +80,8 @@ type CoordinatorOptions struct {
 	// reset into a reconnect instead of a host death.
 	SessionTimeout time.Duration
 
-	// MaxDeliveries is how many executor hosts a unit may go down with
-	// before it is quarantined with the Quarantine outcome (default 3).
-	MaxDeliveries int
-
-	// Quarantine is the outcome recorded for a unit that exhausted
-	// MaxDeliveries.
+	// Quarantine is the outcome recorded for a unit that went down with
+	// maxHostDeaths executor hosts.
 	Quarantine journal.Outcome
 
 	// Side, when non-nil, is the sidecar WAL the coordinator journals its
@@ -126,18 +123,19 @@ func (o *CoordinatorOptions) fill() {
 		o.MinHosts = 1
 	}
 	if o.HeartbeatInterval <= 0 {
-		o.HeartbeatInterval = 500 * time.Millisecond
+		o.HeartbeatInterval = worker.DefaultHeartbeatInterval
 	}
 	if o.HeartbeatTimeout <= 0 {
-		o.HeartbeatTimeout = 10 * time.Second
+		o.HeartbeatTimeout = worker.DefaultHeartbeatTimeout
 	}
 	if o.SessionTimeout <= 0 {
 		o.SessionTimeout = 2 * o.HeartbeatTimeout
 	}
-	if o.MaxDeliveries < 1 {
-		o.MaxDeliveries = 3
-	}
 }
+
+// maxHostDeaths is how many executor hosts a unit may go down with before
+// it is quarantined with the Quarantine outcome.
+const maxHostDeaths = 3
 
 func (o *CoordinatorOptions) logf(format string, args ...any) {
 	if o.Log != nil {
@@ -176,11 +174,11 @@ func (c *Coordinator) Close() error { return c.ln.Close() }
 // event is one message into the coordinator's single-threaded loop.
 type event struct {
 	x       *executorConn
-	typ     uint8  // frame type for frame events
-	payload []byte // frame payload
-	err     error  // non-nil: the connection died
-	join    bool   // handshake completed; register x
-	rd      ready  // the ready frame, for join events
+	typ     uint8        // frame type for frame events
+	payload []byte       // frame payload
+	err     error        // non-nil: the connection died
+	join    bool         // handshake completed; register x
+	rd      worker.Ready // the ready frame, for join events
 }
 
 // executorConn is one TCP connection. Scheduling state lives on the session
@@ -312,7 +310,7 @@ func (c *Coordinator) Run(ctx context.Context, indices []int, onResult func(work
 			return ctx.Err()
 		case <-beat.C:
 			for _, s := range r.attached() {
-				if err := s.conn.send(msgHeartbeat, nil); err != nil {
+				if err := s.conn.send(worker.MsgHeartbeat, nil); err != nil {
 					r.detach(s.conn, fmt.Errorf("heartbeat write: %w", err))
 					continue
 				}
@@ -354,7 +352,7 @@ func (c *Coordinator) Run(ctx context.Context, indices []int, onResult func(work
 func (r *coordRun) linger() {
 	goodbye := func() {
 		for _, s := range r.attached() {
-			_ = s.conn.send(msgShutdown, nil)
+			_ = s.conn.send(worker.MsgShutdown, nil)
 		}
 	}
 	goodbye()
@@ -382,7 +380,7 @@ func (r *coordRun) linger() {
 					s.conn = ev.x
 					ev.x.sess = s
 				}
-				_ = ev.x.send(msgShutdown, nil)
+				_ = ev.x.send(worker.MsgShutdown, nil)
 			case ev.err != nil:
 				s := ev.x.sess
 				ev.x.conn.Close()
@@ -467,7 +465,7 @@ func (r *coordRun) recover() error {
 	}
 	r.pending = pending
 	for _, u := range append([]int(nil), r.pending...) {
-		if r.deaths[u] >= r.opts.MaxDeliveries {
+		if r.deaths[u] >= maxHostDeaths {
 			r.dropPending(u)
 			r.quarantine(u)
 		}
@@ -548,11 +546,11 @@ func (c *Coordinator) handshake(conn net.Conn, r *coordRun) {
 	x := &executorConn{conn: conn, wtimeout: c.opts.HeartbeatTimeout}
 	reject := func(err error) {
 		c.opts.logf("fabric: rejecting %s: %v", conn.RemoteAddr(), err)
-		_ = x.send(msgError, []byte(err.Error()))
+		_ = x.send(worker.MsgError, []byte(err.Error()))
 		conn.Close()
 	}
-	if err := x.send(msgHello, encodeHello(hello{
-		Version:           ProtocolVersion,
+	if err := x.send(worker.MsgHello, worker.EncodeHello(worker.Hello{
+		Version:           worker.ProtocolVersion,
 		HeartbeatInterval: c.opts.HeartbeatInterval,
 		HeartbeatTimeout:  c.opts.HeartbeatTimeout,
 		Spec:              c.opts.Spec,
@@ -573,23 +571,19 @@ func (c *Coordinator) handshake(conn net.Conn, r *coordRun) {
 			return
 		}
 		switch typ {
-		case msgHeartbeat:
+		case worker.MsgHeartbeat:
 			continue // re-planning inside the executor; keep waiting
-		case msgError:
+		case worker.MsgError:
 			reject(fmt.Errorf("executor error during handshake: %s", payload))
 			return
-		case msgReady:
-			rd, err := decodeReady(payload)
+		case worker.MsgReady:
+			rd, err := worker.DecodeReady(payload)
 			if err != nil {
 				reject(err)
 				return
 			}
-			if rd.Version != ProtocolVersion {
-				reject(fmt.Errorf("executor speaks protocol version %d, coordinator speaks %d", rd.Version, ProtocolVersion))
-				return
-			}
-			if rd.Fingerprint != c.opts.Spec.Fingerprint {
-				reject(fmt.Errorf("executor rebuilt plan fingerprint %016x, coordinator planned %016x — differing builds or configuration", rd.Fingerprint, c.opts.Spec.Fingerprint))
+			if err := worker.CheckPeer(rd.Version, rd.Fingerprint, c.opts.Spec.Fingerprint); err != nil {
+				reject(fmt.Errorf("executor %w", err))
 				return
 			}
 			if int(rd.Units) != c.opts.Units {
@@ -674,7 +668,7 @@ func (r *coordRun) hostsGauge() {
 // to its surviving session (the ready frame presented a known token) or
 // opening a fresh session. The welcome frame always precedes any assign on
 // the new connection.
-func (r *coordRun) register(x *executorConn, rd ready) {
+func (r *coordRun) register(x *executorConn, rd worker.Ready) {
 	if rd.Token != 0 {
 		if s, ok := r.sessions[rd.Token]; ok {
 			r.reattach(x, s)
@@ -815,7 +809,7 @@ func (r *coordRun) expire(s *session) {
 	for _, u := range lost {
 		delete(r.owner, u)
 		r.deaths[u]++
-		if r.deaths[u] >= r.opts.MaxDeliveries {
+		if r.deaths[u] >= maxHostDeaths {
 			r.quarantine(u)
 			continue
 		}
@@ -866,7 +860,7 @@ func (r *coordRun) frame(x *executorConn, typ uint8, payload []byte) error {
 	}
 	r.opts.Fleet.Seen(s.token)
 	switch typ {
-	case msgHeartbeat:
+	case worker.MsgHeartbeat:
 		return r.fatalErr()
 	case msgTelemetry:
 		sentUS, entries, err := decodeSnapshot(payload, maxSnapEntries)
@@ -884,10 +878,10 @@ func (r *coordRun) frame(x *executorConn, typ uint8, payload []byte) error {
 		}
 		r.ingestTrace(s, sentUS, evs)
 		return r.fatalErr()
-	case msgError:
+	case worker.MsgError:
 		return fmt.Errorf("fabric: executor %s: %s", s.name, payload)
-	case msgVerdict:
-		v, err := decodeVerdict(payload)
+	case worker.MsgVerdict:
+		v, err := worker.DecodeVerdict(payload)
 		if err != nil {
 			r.detach(x, err)
 			return r.fatalErr()
@@ -1082,7 +1076,7 @@ func (r *coordRun) assign(s *session, units []int) {
 // reconnect windows expire against a closed port.
 func (r *coordRun) shutdownAll() {
 	for _, s := range r.attached() {
-		_ = s.conn.send(msgShutdown, nil)
+		_ = s.conn.send(worker.MsgShutdown, nil)
 		s.conn.conn.Close()
 		s.conn = nil
 	}

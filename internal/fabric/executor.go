@@ -237,13 +237,13 @@ type executor struct {
 
 	wmu sync.Mutex // serialises frame writes (verdicts vs heartbeats)
 
-	smu       sync.Mutex // session identity and the retransmit buffer
-	conn      net.Conn   // current connection; nil during an outage
-	token     uint64     // session token from the last welcome (0 = none yet)
-	seq       uint32     // last verdict sequence stamped
-	unacked   []verdict  // sent or pending verdicts not yet acknowledged
-	ackedSeq  uint32     // coordinator's cumulative ack watermark
-	lastAckAt time.Time  // last watermark advance (stall detection)
+	smu       sync.Mutex       // session identity and the retransmit buffer
+	conn      net.Conn         // current connection; nil during an outage
+	token     uint64           // session token from the last welcome (0 = none yet)
+	seq       uint32           // last verdict sequence stamped
+	unacked   []worker.Verdict // sent or pending verdicts not yet acknowledged
+	ackedSeq  uint32           // coordinator's cumulative ack watermark
+	lastAckAt time.Time        // last watermark advance (stall detection)
 
 	qmu         sync.Mutex
 	queue       []int        // assigned, not yet handed to RunBatch; sorted
@@ -261,7 +261,7 @@ type executor struct {
 	batchStarted bool
 	runErr       chan error
 
-	hb hello // negotiated timings
+	hb worker.Hello // negotiated timings
 
 	lastFedPush time.Time // heartbeat-goroutine only; floors the push cadence
 }
@@ -329,11 +329,7 @@ func (x *executor) dialRetry(ctx context.Context, window time.Duration) (net.Con
 func (x *executor) write(conn net.Conn, typ uint8, payload []byte) error {
 	x.wmu.Lock()
 	defer x.wmu.Unlock()
-	timeout := x.hb.HeartbeatTimeout
-	if timeout <= 0 {
-		timeout = 10 * time.Second
-	}
-	_ = conn.SetWriteDeadline(time.Now().Add(timeout))
+	_ = conn.SetWriteDeadline(time.Now().Add(x.hb.HeartbeatTimeout))
 	return worker.WriteFrameCRC(conn, typ, payload)
 }
 
@@ -368,24 +364,26 @@ func (x *executor) session(ctx context.Context, conn net.Conn) error {
 	if err != nil {
 		return fmt.Errorf("fabric: reading hello: %w", err)
 	}
-	if typ == msgError {
+	if typ == worker.MsgError {
 		return fatalError{fmt.Errorf("fabric: coordinator: %s", payload)}
 	}
-	if typ != msgHello {
+	if typ != worker.MsgHello {
 		return fmt.Errorf("fabric: expected hello, got frame type %d", typ)
 	}
-	h, err := decodeHello(payload)
+	h, err := worker.DecodeHello(payload)
 	if err != nil {
 		return err
 	}
-	if h.Version != ProtocolVersion {
-		return fatalError{fmt.Errorf("fabric: coordinator speaks protocol version %d, executor speaks %d", h.Version, ProtocolVersion)}
+	// x.fp is zero until the first hello: a session built for one plan
+	// refuses a coordinator that now plans another.
+	if err := worker.CheckPeer(h.Version, h.Spec.Fingerprint, x.fp); err != nil {
+		return fatalError{fmt.Errorf("fabric: coordinator %w", err)}
 	}
 	if h.HeartbeatInterval <= 0 {
-		h.HeartbeatInterval = 500 * time.Millisecond
+		h.HeartbeatInterval = worker.DefaultHeartbeatInterval
 	}
 	if h.HeartbeatTimeout <= 0 {
-		h.HeartbeatTimeout = 10 * time.Second
+		h.HeartbeatTimeout = worker.DefaultHeartbeatTimeout
 	}
 	// The negotiated timings are stored once: after the first session the
 	// batch loop's emit path reads x.hb concurrently, and a coordinator
@@ -406,7 +404,7 @@ func (x *executor) session(ctx context.Context, conn net.Conn) error {
 			case <-hbCtx.Done():
 				return
 			case <-t.C:
-				if x.write(conn, msgHeartbeat, nil) != nil {
+				if x.write(conn, worker.MsgHeartbeat, nil) != nil {
 					return // reader sees the dead conn too
 				}
 				x.maybeRetransmit(conn)
@@ -418,21 +416,19 @@ func (x *executor) session(ctx context.Context, conn net.Conn) error {
 	if x.runner == nil {
 		runner, err := x.opts.Batch(h.Spec)
 		if err != nil {
-			_ = x.write(conn, msgError, []byte(err.Error()))
+			_ = x.write(conn, worker.MsgError, []byte(err.Error()))
 			return fatalError{fmt.Errorf("fabric: building batch runner: %w", err)}
 		}
 		x.runner = runner
 		x.units = runner.Units()
 		x.fp = h.Spec.Fingerprint
-	} else if h.Spec.Fingerprint != x.fp {
-		return fatalError{fmt.Errorf("fabric: coordinator now plans fingerprint %016x, this session was built for %016x", h.Spec.Fingerprint, x.fp)}
 	}
 
 	x.smu.Lock()
 	token := x.token
 	x.smu.Unlock()
-	if err := x.write(conn, msgReady, encodeReady(ready{
-		Version:     ProtocolVersion,
+	if err := x.write(conn, worker.MsgReady, worker.EncodeReady(worker.Ready{
+		Version:     worker.ProtocolVersion,
 		Fingerprint: x.fp,
 		Units:       uint32(x.units),
 		Workers:     uint32(x.opts.Workers),
@@ -474,11 +470,11 @@ func (x *executor) awaitWelcome(conn net.Conn) error {
 			return fmt.Errorf("fabric: reading welcome: %w", err)
 		}
 		switch typ {
-		case msgHeartbeat:
+		case worker.MsgHeartbeat:
 			continue
-		case msgError:
+		case worker.MsgError:
 			return fatalError{fmt.Errorf("fabric: coordinator: %s", payload)}
-		case msgShutdown:
+		case worker.MsgShutdown:
 			// Reconnected into the campaign's goodbye phase: the work is
 			// done. Closing the connection (session teardown) is the
 			// receipt the coordinator waits for.
@@ -540,7 +536,7 @@ func (x *executor) awaitWelcome(conn net.Conn) error {
 			x.ackedSeq = w.Acked
 			x.lastAckAt = time.Now()
 			for _, v := range x.unacked {
-				if err := x.write(conn, msgVerdict, encodeVerdict(v)); err != nil {
+				if err := x.write(conn, worker.MsgVerdict, worker.EncodeVerdict(v)); err != nil {
 					return fmt.Errorf("fabric: retransmitting verdicts: %w", err)
 				}
 			}
@@ -564,7 +560,7 @@ func (x *executor) readLoop(conn net.Conn) error {
 			return fmt.Errorf("fabric: reading from coordinator: %w", err)
 		}
 		switch typ {
-		case msgHeartbeat:
+		case worker.MsgHeartbeat:
 		case msgAck:
 			seq, err := decodeAck(payload)
 			if err != nil {
@@ -649,7 +645,7 @@ func (x *executor) readLoop(conn net.Conn) error {
 			x.queue = kept
 			x.qmu.Unlock()
 			x.opts.logf("fabric: %d units revoked (stolen by another host)", len(units))
-		case msgShutdown:
+		case worker.MsgShutdown:
 			x.qmu.Lock()
 			x.shutdown = true
 			x.qmu.Unlock()
@@ -658,7 +654,7 @@ func (x *executor) readLoop(conn net.Conn) error {
 			// campaign shorter than one heartbeat interval still reports.
 			x.pushTelemetry(conn, true)
 			return nil
-		case msgError:
+		case worker.MsgError:
 			return fatalError{fmt.Errorf("fabric: coordinator aborted: %s", payload)}
 		default:
 			return fmt.Errorf("fabric: unexpected frame type %d from coordinator", typ)
@@ -677,10 +673,10 @@ func (x *executor) emit(unit int, o journal.Outcome, payload []byte) error {
 	x.smu.Lock()
 	defer x.smu.Unlock()
 	x.seq++
-	v := verdict{Seq: x.seq, Unit: uint32(unit), Outcome: o, Payload: payload}
+	v := worker.Verdict{Seq: x.seq, Unit: uint32(unit), Outcome: o, Payload: payload}
 	x.unacked = append(x.unacked, v)
 	if x.conn != nil {
-		if err := x.write(x.conn, msgVerdict, encodeVerdict(v)); err != nil {
+		if err := x.write(x.conn, worker.MsgVerdict, worker.EncodeVerdict(v)); err != nil {
 			x.opts.logf("fabric: verdict for unit %d buffered (%v); will retransmit after reconnecting", unit, err)
 			x.conn.Close()
 			x.conn = nil
@@ -703,16 +699,13 @@ func (x *executor) maybeRetransmit(conn net.Conn) {
 		return
 	}
 	stall := x.hb.HeartbeatTimeout / 2
-	if stall <= 0 {
-		stall = 5 * time.Second
-	}
 	if time.Since(x.lastAckAt) < stall {
 		return
 	}
 	x.lastAckAt = time.Now()
 	x.opts.logf("fabric: no ack progress for %v; retransmitting %d verdict(s)", stall, len(x.unacked))
 	for _, v := range x.unacked {
-		if err := x.write(conn, msgVerdict, encodeVerdict(v)); err != nil {
+		if err := x.write(conn, worker.MsgVerdict, worker.EncodeVerdict(v)); err != nil {
 			x.conn.Close()
 			x.conn = nil
 			return
@@ -759,11 +752,7 @@ func (x *executor) pushTelemetry(conn net.Conn, final bool) {
 		return
 	}
 	defer x.wmu.Unlock()
-	timeout := x.hb.HeartbeatTimeout
-	if timeout <= 0 {
-		timeout = 10 * time.Second
-	}
-	_ = conn.SetWriteDeadline(time.Now().Add(timeout))
+	_ = conn.SetWriteDeadline(time.Now().Add(x.hb.HeartbeatTimeout))
 	if entries := fed.snapshot(); len(entries) > 0 {
 		if worker.WriteFrameCRC(conn, msgTelemetry, encodeSnapshot(time.Now().UnixMicro(), entries)) != nil {
 			return // dead wire; counters are cumulative, the next push heals
@@ -814,7 +803,7 @@ func (x *executor) batchLoop(ctx context.Context, runner BatchRunner) error {
 				conn := x.conn
 				x.smu.Unlock()
 				if conn != nil {
-					_ = x.write(conn, msgError, []byte(err.Error()))
+					_ = x.write(conn, worker.MsgError, []byte(err.Error()))
 				}
 			}
 			return err

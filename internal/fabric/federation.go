@@ -306,22 +306,6 @@ func (t *FleetTracker) HostStats() []telemetry.HostStats {
 	return out
 }
 
-// FleetExecuted sums the federated per-host executed counters — the
-// fleet-wide "units executed somewhere" number the coordinator's progress
-// line shows alongside its own merged count.
-func (t *FleetTracker) FleetExecuted() uint64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	var n uint64
-	for _, h := range t.hosts {
-		n += h.Executed
-	}
-	return n
-}
-
 // formatRuns renders a sorted unit set as "0-95,140-160" (single units as
 // bare numbers) for the fleet view.
 func formatRuns(units []int) string {

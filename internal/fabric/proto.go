@@ -23,25 +23,18 @@
 // keeps the scheduling policy simple — nothing needs distributed consensus,
 // only the coordinator's single-threaded event loop.
 //
-// The wire protocol, version 2 (all integers little-endian), framed as the
-// worker protocol's CRC form (length u32 | type u8 | payload | crc32 u32,
-// length counting type+payload+crc, MaxFrame-bounded). Version 1 spoke the
-// plain frame form over a trusted loopback; version 2 assumes the network
-// itself is under fault injection, so every frame is checksummed and a
-// poisoned frame severs the connection for re-establishment rather than
-// desynchronizing the stream:
+// The wire protocol is internal/worker's (version 3): the same CRC frames
+// (length u32 | type u8 | payload | crc32 u32), the same hello, ready,
+// verdict, heartbeat, shutdown and error messages, one numbering and one
+// ProtocolVersion, so a poisoned frame severs the connection for
+// re-establishment rather than desynchronizing the stream. On TCP a
+// verdict's seq is the per-session sequence number and its last flag is
+// unused; ready's workers, token and name identify the executor's session.
+// The fabric adds six messages of its own, numbered on from
+// worker.MsgFabric (all integers little-endian):
 //
-//	hello     version u16 | heartbeat-ms u32 | deadline-ms u32 |
-//	          fingerprint u64 | kind-len u16 | kind | spec-len u32 | spec
-//	ready     version u16 | fingerprint u64 | units u32 | workers u32 |
-//	          token u64 | name-len u16 | name
 //	assign    runs u32 | (start u32 | count u32)*
 //	revoke    runs u32 | (start u32 | count u32)*
-//	verdict   seq u32 | unit u32 | mode u8 | flags u8 |
-//	          payload-len u32 | payload
-//	heartbeat (empty, both directions)
-//	shutdown  (empty; campaign complete, executor exits cleanly)
-//	error     message (UTF-8; either side aborts the campaign)
 //	welcome   token u64 | resumed u8 | acked u32
 //	ack       seq u32
 //	telemetry sent-us i64 | count u32 |
@@ -51,6 +44,9 @@
 //	           kind-len u16 | kind | program-len u16 | program |
 //	           fault-len u16 | fault | mode-len u16 | mode |
 //	           detail-len u16 | detail)*
+//
+// Heartbeats flow in both directions; shutdown tells an executor the
+// campaign is complete; an error frame from either side aborts it.
 //
 // The coordinator opens with hello; the executor answers ready after
 // re-planning, echoing the negotiated version and the plan fingerprint it
@@ -64,12 +60,12 @@
 // Assign and revoke carry run-length-encoded sorted unit sets: a fresh
 // campaign's shard is one run, a resumed campaign's holes make more.
 // Verdict mode/flags use the journal.Outcome wire encoding, the same bytes
-// the journal appends and the worker protocol ships, so a verdict crosses
-// host, supervisor and journal without translation. Each verdict carries a
-// per-session sequence number, acknowledged by the coordinator only after
-// the verdict is durably journaled; unacknowledged verdicts are buffered by
-// the executor and retransmitted on re-attach, where the sequence number
-// (and, behind it, the done-set) makes duplicate delivery idempotent.
+// the journal appends, so a verdict crosses host, supervisor and journal
+// without translation. Each verdict's sequence number is acknowledged by
+// the coordinator only after the verdict is durably journaled;
+// unacknowledged verdicts are buffered by the executor and retransmitted on
+// re-attach, where the sequence number (and, behind it, the done-set) makes
+// duplicate delivery idempotent.
 //
 // Telemetry and trace frames are the federation plane (DESIGN.md §5k):
 // executors push them to the coordinator on the heartbeat cadence, strictly
@@ -89,51 +85,20 @@ import (
 	"sort"
 	"time"
 
-	"repro/internal/journal"
 	"repro/internal/telemetry"
 	"repro/internal/worker"
 )
 
-// ProtocolVersion is the fabric frame-format version sent in hello and
-// echoed in ready. Mixed-build coordinator/executor pairs fail the
-// handshake instead of mis-parsing frames.
-const ProtocolVersion = 2
-
-// Message types. The numbering space is independent of the worker
-// protocol's — the two never share a stream.
+// Message types of the fabric's own messages, continuing the worker
+// protocol's numbering.
 const (
-	msgHello uint8 = 1 + iota
-	msgReady
-	msgAssign
+	msgAssign = worker.MsgFabric + iota
 	msgRevoke
-	msgVerdict
-	msgHeartbeat
-	msgShutdown
-	msgError
 	msgWelcome
 	msgAck
 	msgTelemetry
 	msgTrace
 )
-
-// hello is the coordinator's opening frame.
-type hello struct {
-	Version           uint16
-	HeartbeatInterval time.Duration
-	HeartbeatTimeout  time.Duration
-	Spec              worker.Spec
-}
-
-// ready is the executor's handshake answer. Token is zero on a first join
-// and the welcome-issued session token when re-attaching.
-type ready struct {
-	Version     uint16
-	Fingerprint uint64
-	Units       uint32
-	Workers     uint32
-	Token       uint64
-	Name        string
-}
 
 // welcome is the coordinator's answer to ready: the session identity the
 // executor keeps across reconnects, whether an existing session's
@@ -142,86 +107,6 @@ type welcome struct {
 	Token   uint64
 	Resumed bool
 	Acked   uint32
-}
-
-// verdict is one completed unit crossing back to the coordinator. Seq is
-// the per-session sequence number (1-based; monotone over the session's
-// whole lifetime, reconnects included).
-type verdict struct {
-	Seq     uint32
-	Unit    uint32
-	Outcome journal.Outcome
-	Payload []byte
-}
-
-func encodeHello(h hello) []byte {
-	kind := []byte(h.Spec.Kind)
-	buf := make([]byte, 0, 24+len(kind)+len(h.Spec.Payload))
-	buf = binary.LittleEndian.AppendUint16(buf, h.Version)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(h.HeartbeatInterval/time.Millisecond))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(h.HeartbeatTimeout/time.Millisecond))
-	buf = binary.LittleEndian.AppendUint64(buf, h.Spec.Fingerprint)
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(kind)))
-	buf = append(buf, kind...)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(h.Spec.Payload)))
-	buf = append(buf, h.Spec.Payload...)
-	return buf
-}
-
-func decodeHello(b []byte) (hello, error) {
-	var h hello
-	if len(b) < 24 {
-		return h, fmt.Errorf("fabric: hello frame too short (%d bytes)", len(b))
-	}
-	h.Version = binary.LittleEndian.Uint16(b[0:2])
-	h.HeartbeatInterval = time.Duration(binary.LittleEndian.Uint32(b[2:6])) * time.Millisecond
-	h.HeartbeatTimeout = time.Duration(binary.LittleEndian.Uint32(b[6:10])) * time.Millisecond
-	h.Spec.Fingerprint = binary.LittleEndian.Uint64(b[10:18])
-	kn := int(binary.LittleEndian.Uint16(b[18:20]))
-	b = b[20:]
-	if len(b) < kn+4 {
-		return h, fmt.Errorf("fabric: hello frame truncated in kind")
-	}
-	h.Spec.Kind = string(b[:kn])
-	b = b[kn:]
-	pn := int(binary.LittleEndian.Uint32(b[:4]))
-	b = b[4:]
-	if len(b) != pn {
-		return h, fmt.Errorf("fabric: hello spec length %d, frame holds %d", pn, len(b))
-	}
-	h.Spec.Payload = b
-	return h, nil
-}
-
-func encodeReady(r ready) []byte {
-	name := []byte(r.Name)
-	buf := make([]byte, 0, 28+len(name))
-	buf = binary.LittleEndian.AppendUint16(buf, r.Version)
-	buf = binary.LittleEndian.AppendUint64(buf, r.Fingerprint)
-	buf = binary.LittleEndian.AppendUint32(buf, r.Units)
-	buf = binary.LittleEndian.AppendUint32(buf, r.Workers)
-	buf = binary.LittleEndian.AppendUint64(buf, r.Token)
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(name)))
-	buf = append(buf, name...)
-	return buf
-}
-
-func decodeReady(b []byte) (ready, error) {
-	var r ready
-	if len(b) < 28 {
-		return r, fmt.Errorf("fabric: ready frame too short (%d bytes)", len(b))
-	}
-	r.Version = binary.LittleEndian.Uint16(b[0:2])
-	r.Fingerprint = binary.LittleEndian.Uint64(b[2:10])
-	r.Units = binary.LittleEndian.Uint32(b[10:14])
-	r.Workers = binary.LittleEndian.Uint32(b[14:18])
-	r.Token = binary.LittleEndian.Uint64(b[18:26])
-	nn := int(binary.LittleEndian.Uint16(b[26:28]))
-	if len(b)-28 != nn {
-		return r, fmt.Errorf("fabric: ready name length %d, frame holds %d", nn, len(b)-28)
-	}
-	r.Name = string(b[28:])
-	return r, nil
 }
 
 func encodeWelcome(w welcome) []byte {
@@ -256,34 +141,6 @@ func decodeAck(b []byte) (uint32, error) {
 		return 0, fmt.Errorf("fabric: ack frame is %d bytes, want 4", len(b))
 	}
 	return binary.LittleEndian.Uint32(b), nil
-}
-
-func encodeVerdict(v verdict) []byte {
-	buf := make([]byte, 0, 14+len(v.Payload))
-	buf = binary.LittleEndian.AppendUint32(buf, v.Seq)
-	buf = binary.LittleEndian.AppendUint32(buf, v.Unit)
-	buf = append(buf, v.Outcome.Mode, v.Outcome.Flags())
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(v.Payload)))
-	buf = append(buf, v.Payload...)
-	return buf
-}
-
-func decodeVerdict(b []byte) (verdict, error) {
-	var v verdict
-	if len(b) < 14 {
-		return v, fmt.Errorf("fabric: verdict frame too short (%d bytes)", len(b))
-	}
-	v.Seq = binary.LittleEndian.Uint32(b[0:4])
-	v.Unit = binary.LittleEndian.Uint32(b[4:8])
-	v.Outcome = journal.DecodeOutcome(b[8], b[9])
-	pn := int(binary.LittleEndian.Uint32(b[10:14]))
-	if len(b)-14 != pn {
-		return v, fmt.Errorf("fabric: verdict payload length %d, frame holds %d", pn, len(b)-14)
-	}
-	if pn > 0 {
-		v.Payload = b[14:]
-	}
-	return v, nil
 }
 
 // encodeRuns compresses a sorted unit-index set into run-length form: the

@@ -11,9 +11,14 @@ import (
 	"repro/internal/worker"
 )
 
+// The fabric speaks the worker protocol's hello, ready and verdict codec;
+// these round trips pin the fields only the fabric sets: the heartbeat
+// timeout, a host's token, name and worker count, and verdict sequence
+// numbers.
+
 func TestHelloRoundTrip(t *testing.T) {
-	in := hello{
-		Version:           ProtocolVersion,
+	in := worker.Hello{
+		Version:           worker.ProtocolVersion,
 		HeartbeatInterval: 250 * time.Millisecond,
 		HeartbeatTimeout:  5 * time.Second,
 		Spec: worker.Spec{
@@ -22,7 +27,7 @@ func TestHelloRoundTrip(t *testing.T) {
 			Payload:     []byte(`{"seed":42}`),
 		},
 	}
-	out, err := decodeHello(encodeHello(in))
+	out, err := worker.DecodeHello(worker.EncodeHello(in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,25 +39,25 @@ func TestHelloRoundTrip(t *testing.T) {
 }
 
 func TestHelloTruncated(t *testing.T) {
-	full := encodeHello(hello{Version: 1, Spec: worker.Spec{Kind: "k", Payload: []byte("pp")}})
+	full := worker.EncodeHello(worker.Hello{Version: worker.ProtocolVersion, HeartbeatTimeout: time.Second, Spec: worker.Spec{Kind: "k", Payload: []byte("pp")}})
 	for cut := 0; cut < len(full); cut++ {
-		if _, err := decodeHello(full[:cut]); err == nil {
-			t.Fatalf("decodeHello accepted a %d-byte prefix of a %d-byte frame", cut, len(full))
+		if _, err := worker.DecodeHello(full[:cut]); err == nil {
+			t.Fatalf("DecodeHello accepted a %d-byte prefix of a %d-byte frame", cut, len(full))
 		}
 	}
 }
 
 func TestReadyRoundTrip(t *testing.T) {
-	in := ready{Version: ProtocolVersion, Fingerprint: 0x0123456789abcdef, Units: 991, Workers: 8, Token: 0xfeedface, Name: "host-b"}
-	out, err := decodeReady(encodeReady(in))
+	in := worker.Ready{Version: worker.ProtocolVersion, Fingerprint: 0x0123456789abcdef, Units: 991, Workers: 8, Token: 0xfeedface, Name: "host-b"}
+	out, err := worker.DecodeReady(worker.EncodeReady(in))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out != in {
 		t.Fatalf("round trip mismatch: %+v != %+v", out, in)
 	}
-	if _, err := decodeReady(encodeReady(in)[:19]); err == nil {
-		t.Fatal("decodeReady accepted a short frame")
+	if _, err := worker.DecodeReady(worker.EncodeReady(in)[:19]); err == nil {
+		t.Fatal("DecodeReady accepted a short frame")
 	}
 }
 
@@ -90,13 +95,13 @@ func TestAckRoundTrip(t *testing.T) {
 }
 
 func TestVerdictRoundTrip(t *testing.T) {
-	cases := []verdict{
+	cases := []worker.Verdict{
 		{Unit: 0, Outcome: journal.Outcome{Mode: 1}},
 		{Seq: 41, Unit: 7, Outcome: journal.Outcome{Mode: 5, Activated: true, Retried: true}},
 		{Seq: 1 << 20, Unit: 123456, Outcome: journal.Outcome{Mode: 3, Degraded: true}, Payload: []byte("case output")},
 	}
 	for _, in := range cases {
-		out, err := decodeVerdict(encodeVerdict(in))
+		out, err := worker.DecodeVerdict(worker.EncodeVerdict(in))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -104,8 +109,8 @@ func TestVerdictRoundTrip(t *testing.T) {
 			t.Fatalf("round trip mismatch: %+v != %+v", out, in)
 		}
 	}
-	if _, err := decodeVerdict(encodeVerdict(cases[2])[:12]); err == nil {
-		t.Fatal("decodeVerdict accepted a truncated payload")
+	if _, err := worker.DecodeVerdict(worker.EncodeVerdict(cases[2])[:12]); err == nil {
+		t.Fatal("DecodeVerdict accepted a truncated payload")
 	}
 }
 
@@ -150,13 +155,15 @@ func seqUnits(start, n int) []int {
 	return units
 }
 
-// FuzzDecoders feeds arbitrary payloads to every fabric frame decoder.
-// None may panic, and an accepted run-set must never expand past the
+// FuzzDecoders feeds arbitrary payloads to every frame decoder the fabric
+// speaks: the shared hello/ready/verdict decoders of the worker protocol
+// (the pipes run them too), the fabric's own messages and the sidecar's
+// records. None may panic, and an accepted run-set must never expand past the
 // maxUnits bound no matter what the frame claims.
 func FuzzDecoders(f *testing.F) {
-	f.Add(encodeHello(hello{Version: 1, Spec: worker.Spec{Kind: "k", Payload: []byte("p")}}))
-	f.Add(encodeReady(ready{Version: 2, Token: 7, Name: "n"}))
-	f.Add(encodeVerdict(verdict{Seq: 5, Unit: 3, Payload: []byte("out")}))
+	f.Add(worker.EncodeHello(worker.Hello{Version: worker.ProtocolVersion, Spec: worker.Spec{Kind: "k", Payload: []byte("p")}}))
+	f.Add(worker.EncodeReady(worker.Ready{Version: worker.ProtocolVersion, Token: 7, Name: "n"}))
+	f.Add(worker.EncodeVerdict(worker.Verdict{Seq: 5, Unit: 3, Last: true, Payload: []byte("out")}))
 	f.Add(encodeWelcome(welcome{Token: 12, Resumed: true, Acked: 44}))
 	f.Add(encodeAck(99))
 	f.Add(encodeSideSession(3, 2, "host"))
@@ -171,9 +178,9 @@ func FuzzDecoders(f *testing.F) {
 	}))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		decodeHello(data)
-		decodeReady(data)
-		decodeVerdict(data)
+		worker.DecodeHello(data)
+		worker.DecodeReady(data)
+		worker.DecodeVerdict(data)
 		decodeWelcome(data)
 		decodeAck(data)
 		decodeSideSession(data)

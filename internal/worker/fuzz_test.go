@@ -10,12 +10,12 @@ import (
 
 // FuzzReadFrame feeds arbitrary byte streams to the frame reader. Whatever
 // a dying or hostile peer sends — truncated frames, corrupt length
-// prefixes, garbage types — ReadFrame must fail cleanly or return a payload
-// that re-encodes to exactly the bytes it consumed; it must never panic and
-// never hand back more bytes than arrived.
+// prefixes, garbage types — ReadFrameCRC must fail cleanly or return a
+// payload that re-encodes to exactly the bytes it consumed; it must never
+// panic and never hand back more bytes than arrived.
 func FuzzReadFrame(f *testing.F) {
 	var valid bytes.Buffer
-	if err := WriteFrame(&valid, msgHello, []byte("spec payload")); err != nil {
+	if err := WriteFrameCRC(&valid, MsgHello, []byte("spec payload")); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(valid.Bytes())
@@ -26,39 +26,25 @@ func FuzzReadFrame(f *testing.F) {
 	lying := make([]byte, 8) // prefix claims more than MaxFrame
 	binary.LittleEndian.PutUint32(lying, MaxFrame+1)
 	f.Add(lying)
-	big := make([]byte, 4, 4+readChunk+64) // body spanning multiple chunks
-	binary.LittleEndian.PutUint32(big, uint32(readChunk+64))
-	big = append(big, make([]byte, readChunk+64)...)
-	f.Add(big)
+	var big bytes.Buffer // body spanning multiple chunks
+	if err := WriteFrameCRC(&big, MsgVerdict, make([]byte, readChunk+64)); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(big.Bytes())
 
-	f.Fuzz(func(t *testing.T, data []byte) {
-		typ, payload, err := ReadFrame(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		if 5+len(payload) > len(data) {
-			t.Fatalf("ReadFrame returned %d payload bytes from a %d-byte stream", len(payload), len(data))
-		}
-		var re bytes.Buffer
-		if werr := WriteFrame(&re, typ, payload); werr != nil {
-			t.Fatalf("accepted frame does not re-encode: %v", werr)
-		}
-		if !bytes.Equal(re.Bytes(), data[:re.Len()]) {
-			t.Fatalf("re-encoded frame differs from the consumed prefix")
-		}
-	})
+	f.Fuzz(checkReadFrame)
 }
 
-// FuzzReadFrameCRC feeds arbitrary byte streams to the CRC frame reader —
-// the framing the fabric speaks over TCP, where chaos (or reality) flips
-// bytes. Beyond ReadFrame's obligations, any frame it accepts must carry a
-// checksum that matches its bytes: the corpus seeds corrupt-CRC frames
-// (one bit flipped anywhere), truncated bodies, and replayed/concatenated
-// frames, and the property re-encodes accepted frames to prove the reader
-// consumed exactly one intact frame.
+// FuzzReadFrameCRC feeds the frame reader the streams chaos (or reality)
+// makes of intact frames by flipping bytes. Beyond FuzzReadFrame's
+// obligations, any frame it accepts must carry a checksum that matches its
+// bytes: the corpus seeds corrupt-CRC frames (one bit flipped anywhere),
+// truncated bodies, and replayed/concatenated frames, and the property
+// re-encodes accepted frames to prove the reader consumed exactly one
+// intact frame.
 func FuzzReadFrameCRC(f *testing.F) {
 	var valid bytes.Buffer
-	if err := WriteFrameCRC(&valid, msgVerdict, []byte("verdict payload")); err != nil {
+	if err := WriteFrameCRC(&valid, MsgVerdict, []byte("verdict payload")); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(valid.Bytes())
@@ -76,7 +62,7 @@ func FuzzReadFrameCRC(f *testing.F) {
 	binary.LittleEndian.PutUint32(short, 3)
 	f.Add(short)
 	// Federation-plane frames (the fabric's telemetry snapshot and trace
-	// types, 11 and 12) ride this framing too; their payload layouts are
+	// types, MsgFabric+4 and MsgFabric+5) ride this framing too; their payload layouts are
 	// hand-rolled here because the fabric package sits above this one.
 	snap := binary.LittleEndian.AppendUint64(nil, 1722000000000000) // sent-us
 	snap = binary.LittleEndian.AppendUint32(snap, 1)                // entry count
@@ -84,7 +70,7 @@ func FuzzReadFrameCRC(f *testing.F) {
 	snap = append(snap, "units"...)
 	snap = binary.LittleEndian.AppendUint64(snap, 42) // value
 	var fedSnap bytes.Buffer
-	if err := WriteFrameCRC(&fedSnap, 11, snap); err != nil {
+	if err := WriteFrameCRC(&fedSnap, MsgFabric+4, snap); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(fedSnap.Bytes())
@@ -100,28 +86,31 @@ func FuzzReadFrameCRC(f *testing.F) {
 		ev = append(ev, s...)
 	}
 	var fedTrace bytes.Buffer
-	if err := WriteFrameCRC(&fedTrace, 12, ev); err != nil {
+	if err := WriteFrameCRC(&fedTrace, MsgFabric+5, ev); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(fedTrace.Bytes())
 	f.Add([]byte{})
 
-	f.Fuzz(func(t *testing.T, data []byte) {
-		typ, payload, err := ReadFrameCRC(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		if 9+len(payload) > len(data) {
-			t.Fatalf("ReadFrameCRC returned %d payload bytes from a %d-byte stream", len(payload), len(data))
-		}
-		var re bytes.Buffer
-		if werr := WriteFrameCRC(&re, typ, payload); werr != nil {
-			t.Fatalf("accepted frame does not re-encode: %v", werr)
-		}
-		if !bytes.Equal(re.Bytes(), data[:re.Len()]) {
-			t.Fatalf("re-encoded frame differs from the consumed prefix")
-		}
-	})
+	f.Fuzz(checkReadFrame)
+}
+
+// checkReadFrame is the property both frame fuzzers hold ReadFrameCRC to.
+func checkReadFrame(t *testing.T, data []byte) {
+	typ, payload, err := ReadFrameCRC(bytes.NewReader(data))
+	if err != nil {
+		return
+	}
+	if 9+len(payload) > len(data) {
+		t.Fatalf("ReadFrameCRC returned %d payload bytes from a %d-byte stream", len(payload), len(data))
+	}
+	var re bytes.Buffer
+	if werr := WriteFrameCRC(&re, typ, payload); werr != nil {
+		t.Fatalf("accepted frame does not re-encode: %v", werr)
+	}
+	if !bytes.Equal(re.Bytes(), data[:re.Len()]) {
+		t.Fatalf("re-encoded frame differs from the consumed prefix")
+	}
 }
 
 // TestReadFrameCRCRejectsEveryBitFlip is the deterministic core of the
@@ -131,7 +120,7 @@ func FuzzReadFrameCRC(f *testing.F) {
 // surface as torn frames or checksum mismatches depending on direction.)
 func TestReadFrameCRCRejectsEveryBitFlip(t *testing.T) {
 	var valid bytes.Buffer
-	if err := WriteFrameCRC(&valid, msgExec, []byte("unit 12345")); err != nil {
+	if err := WriteFrameCRC(&valid, MsgExec, []byte("unit 12345")); err != nil {
 		t.Fatal(err)
 	}
 	for i := 4; i < valid.Len(); i++ {
@@ -146,7 +135,7 @@ func TestReadFrameCRCRejectsEveryBitFlip(t *testing.T) {
 	}
 	// And the pristine frame still reads.
 	typ, payload, err := ReadFrameCRC(bytes.NewReader(valid.Bytes()))
-	if err != nil || typ != msgExec || string(payload) != "unit 12345" {
+	if err != nil || typ != MsgExec || string(payload) != "unit 12345" {
 		t.Fatalf("pristine CRC frame: typ=%d payload=%q err=%v", typ, payload, err)
 	}
 }
@@ -155,7 +144,7 @@ func TestReadFrameCRCRejectsEveryBitFlip(t *testing.T) {
 // from torn ones — the fabric reconnects on ErrFrameCRC and counts it.
 func TestReadFrameCRCErrorIdentity(t *testing.T) {
 	var valid bytes.Buffer
-	if err := WriteFrameCRC(&valid, msgReady, []byte("abc")); err != nil {
+	if err := WriteFrameCRC(&valid, MsgReady, []byte("abc")); err != nil {
 		t.Fatal(err)
 	}
 	bad := append([]byte(nil), valid.Bytes()...)
@@ -181,7 +170,7 @@ func TestReadFrameAllocationBound(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	if _, _, err := ReadFrame(bytes.NewReader(torn)); err == nil {
+	if _, _, err := ReadFrameCRC(bytes.NewReader(torn)); err == nil {
 		t.Fatal("torn frame read succeeded")
 	}
 	runtime.ReadMemStats(&after)

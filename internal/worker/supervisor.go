@@ -109,10 +109,10 @@ func (o *Options) fill() {
 		o.Workers = 1
 	}
 	if o.HeartbeatInterval <= 0 {
-		o.HeartbeatInterval = 500 * time.Millisecond
+		o.HeartbeatInterval = DefaultHeartbeatInterval
 	}
 	if o.HeartbeatTimeout <= 0 {
-		o.HeartbeatTimeout = 10 * time.Second
+		o.HeartbeatTimeout = DefaultHeartbeatTimeout
 	}
 	if o.MaxDeliveries < 1 {
 		o.MaxDeliveries = 2
@@ -451,25 +451,21 @@ func (r *poolRun) serve(ctx context.Context, slot int, w *liveWorker) bool {
 				return false
 			}
 			switch fr.typ {
-			case msgHeartbeat:
+			case MsgHeartbeat:
 				beat()
 				resetTimer(deadline, r.opts.HeartbeatTimeout)
 				continue
-			case msgError:
+			case MsgError:
 				r.abort(fmt.Errorf("worker[%d]: %s", slot, fr.payload))
 				return true
-			case msgReady:
-				rd, err := decodeReady(fr.payload)
+			case MsgReady:
+				rd, err := DecodeReady(fr.payload)
 				if err != nil {
 					r.opts.logf("worker[%d]: %v", slot, err)
 					return false
 				}
-				if rd.Version != ProtocolVersion {
-					r.abort(fmt.Errorf("worker[%d]: speaks protocol version %d, supervisor speaks %d", slot, rd.Version, ProtocolVersion))
-					return true
-				}
-				if rd.Fingerprint != r.opts.Spec.Fingerprint {
-					r.abort(fmt.Errorf("worker[%d]: rebuilt plan fingerprint %016x, supervisor planned %016x — differing builds or configuration", slot, rd.Fingerprint, r.opts.Spec.Fingerprint))
+				if err := CheckPeer(rd.Version, rd.Fingerprint, r.opts.Spec.Fingerprint); err != nil {
+					r.abort(fmt.Errorf("worker[%d] %w", slot, err))
 					return true
 				}
 				w.units = int(rd.Units)
@@ -548,9 +544,9 @@ func (r *poolRun) serve(ctx context.Context, slot int, w *liveWorker) bool {
 						return died("died while idle: %v", w.readErr())
 					}
 					switch fr.typ {
-					case msgHeartbeat:
+					case MsgHeartbeat:
 						beat()
-					case msgError:
+					case MsgError:
 						r.abort(fmt.Errorf("worker[%d]: %s", slot, fr.payload))
 						return true
 					default:
@@ -620,13 +616,13 @@ func (r *poolRun) serve(ctx context.Context, slot int, w *liveWorker) bool {
 			}
 			resetTimer(deadline, r.opts.HeartbeatTimeout)
 			switch fr.typ {
-			case msgHeartbeat:
+			case MsgHeartbeat:
 				beat()
-			case msgError:
+			case MsgError:
 				r.abort(fmt.Errorf("worker[%d]: %s", slot, fr.payload))
 				return true
-			case msgVerdict:
-				v, err := decodeVerdict(fr.payload)
+			case MsgVerdict:
+				v, err := DecodeVerdict(fr.payload)
 				if err != nil {
 					return died("%v", err)
 				}
@@ -717,9 +713,10 @@ func spawn(opts *Options) (*liveWorker, error) {
 	if opts.MemQuota > 0 {
 		memQuota = uint64(opts.MemQuota)
 	}
-	if err := WriteFrameCRC(in, msgHello, encodeHello(hello{
+	if err := WriteFrameCRC(in, MsgHello, EncodeHello(Hello{
 		Version:           ProtocolVersion,
 		HeartbeatInterval: opts.HeartbeatInterval,
+		HeartbeatTimeout:  opts.HeartbeatTimeout,
 		MemQuota:          memQuota,
 		Spec:              opts.Spec,
 	})); err != nil {
@@ -746,7 +743,7 @@ func (w *liveWorker) pump(r io.Reader) {
 			close(w.frames)
 			return
 		}
-		if typ == msgHeartbeat {
+		if typ == MsgHeartbeat {
 			select {
 			case w.frames <- frame{typ: typ}:
 			default:
@@ -772,7 +769,7 @@ func (w *liveWorker) sendExecs(batch []job) error {
 	var ix [4]byte
 	for _, j := range batch {
 		binary.LittleEndian.PutUint32(ix[:], uint32(j.index))
-		w.wbuf, _ = appendFrameCRC(w.wbuf, msgExec, ix[:]) // a 4-byte payload always fits
+		w.wbuf, _ = appendFrameCRC(w.wbuf, MsgExec, ix[:]) // a 4-byte payload always fits
 	}
 	_, err := w.stdin.Write(w.wbuf)
 	return err

@@ -120,26 +120,26 @@ func helperMain(behavior string) int {
 		var hdr [4]byte
 		binary.LittleEndian.PutUint32(hdr[:], 100)
 		os.Stdout.Write(hdr[:])
-		os.Stdout.Write([]byte{msgReady, 1, 2, 3, 4})
+		os.Stdout.Write([]byte{MsgReady, 1, 2, 3, 4})
 		return 0
 	case "badversion", "badfp":
 		typ, payload, err := ReadFrameCRC(os.Stdin)
-		if err != nil || typ != msgHello {
+		if err != nil || typ != MsgHello {
 			return 1
 		}
-		h, err := decodeHello(payload)
+		h, err := DecodeHello(payload)
 		if err != nil {
 			return 1
 		}
 		var cfg helperSpec
 		json.Unmarshal(h.Spec.Payload, &cfg)
-		rd := ready{Version: ProtocolVersion, Fingerprint: h.Spec.Fingerprint, Units: uint32(cfg.Units)}
+		rd := Ready{Version: ProtocolVersion, Fingerprint: h.Spec.Fingerprint, Units: uint32(cfg.Units)}
 		if behavior == "badversion" {
 			rd.Version = 99
 		} else {
 			rd.Fingerprint++
 		}
-		WriteFrameCRC(os.Stdout, msgReady, encodeReady(rd))
+		WriteFrameCRC(os.Stdout, MsgReady, EncodeReady(rd))
 		// Hold the pipe open so the supervisor reacts to the frame, not EOF.
 		ReadFrameCRC(os.Stdin)
 		return 0

@@ -63,15 +63,16 @@ func Serve(r io.Reader, w io.Writer, f Factory) error {
 	if err != nil {
 		return fmt.Errorf("worker: reading hello: %w", err)
 	}
-	if typ != msgHello {
+	if typ != MsgHello {
 		return fatal(ws, fmt.Errorf("worker: expected hello, got frame type %d", typ))
 	}
-	h, err := decodeHello(payload)
+	h, err := DecodeHello(payload)
 	if err != nil {
 		return fatal(ws, err)
 	}
-	if h.Version != ProtocolVersion {
-		return fatal(ws, fmt.Errorf("worker: protocol version %d, this build speaks %d", h.Version, ProtocolVersion))
+	// The factory checks the fingerprint: it rebuilds the plan it hashes.
+	if err := CheckPeer(h.Version, h.Spec.Fingerprint, 0); err != nil {
+		return fatal(ws, fmt.Errorf("worker: supervisor %w", err))
 	}
 
 	// Heartbeats start before the Runner is built: spec planning can be the
@@ -92,7 +93,7 @@ func Serve(r io.Reader, w io.Writer, f Factory) error {
 					if h.MemQuota > 0 && rssBytes() > h.MemQuota {
 						overQuota.Store(true)
 					}
-					if ws.send(msgHeartbeat, nil) != nil {
+					if ws.send(MsgHeartbeat, nil) != nil {
 						return // broken pipe; the main loop will see it too
 					}
 				}
@@ -104,7 +105,7 @@ func Serve(r io.Reader, w io.Writer, f Factory) error {
 	if err != nil {
 		return fatal(ws, fmt.Errorf("worker: building runner for spec kind %q: %w", h.Spec.Kind, err))
 	}
-	if err := ws.send(msgReady, encodeReady(ready{
+	if err := ws.send(MsgReady, EncodeReady(Ready{
 		Version:     ProtocolVersion,
 		Fingerprint: h.Spec.Fingerprint,
 		Units:       uint32(runner.Units()),
@@ -126,9 +127,9 @@ func Serve(r io.Reader, w io.Writer, f Factory) error {
 			return fmt.Errorf("worker: reading request: %w", err)
 		}
 		switch typ {
-		case msgShutdown:
+		case MsgShutdown:
 			return ws.flush()
-		case msgExec:
+		case MsgExec:
 			if len(payload) != 4 {
 				return fatal(ws, fmt.Errorf("worker: exec frame is %d bytes, want 4", len(payload)))
 			}
@@ -144,7 +145,7 @@ func Serve(r io.Reader, w io.Writer, f Factory) error {
 				return fatal(ws, fmt.Errorf("worker: unit %d: %w", unit, err))
 			}
 			last := overQuota.Load()
-			queued, err := ws.queue(msgVerdict, encodeVerdict(verdict{
+			queued, err := ws.queue(MsgVerdict, EncodeVerdict(Verdict{
 				Unit:    uint32(unit),
 				Outcome: o,
 				Last:    last,
@@ -185,7 +186,7 @@ func frameBuffered(br *bufio.Reader) bool {
 // fatal reports err to the supervisor as an error frame (best effort) and
 // returns it for the worker's own exit path.
 func fatal(ws *syncWriter, err error) error {
-	_ = ws.send(msgError, []byte(err.Error()))
+	_ = ws.send(MsgError, []byte(err.Error()))
 	return err
 }
 
