@@ -30,8 +30,11 @@
 // arguments — the campaign spec crosses the wire), work-stealing from
 // stragglers and redelivering a lost host's units. The merged output — and
 // the journal, when -journal is given — is byte-identical to a single-host
-// run. -heartbeat-interval and -heartbeat-timeout tune liveness for both
-// worker subprocesses and fabric links.
+// run. A coordinator restarted with -resume after a crash keeps no state
+// beyond that journal: executors that rode out the outage re-attach and
+// claim the units they still hold. -heartbeat-interval and
+// -heartbeat-timeout tune liveness for both worker subprocesses and fabric
+// links.
 //
 // Campaigns are observable without changing their results: -progress draws
 // a live tally line on stderr (on by default on a terminal), -trace
@@ -167,7 +170,7 @@ func run(args []string) error {
 		return err
 	}
 	// The storage/IPC half of -chaos: one process-wide injector shared by
-	// the journal and sidecar handles, the golden checkpoint poisoner and
+	// the journal's file handle, the golden checkpoint poisoner and
 	// the proc-isolation pipes, so every plane draws from the same seed.
 	// nil unless the spec carries disk.*, pipe.* or poison keys.
 	storageChaos := campaign.StorageInjector(chaosCfg, tel.Registry())

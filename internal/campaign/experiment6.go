@@ -119,9 +119,9 @@ type Config struct {
 	// StorageChaos, when non-nil, is the deterministic storage/IPC fault
 	// injector (swifi -chaos with disk.* / pipe.* keys; see
 	// StorageInjector): the journal is opened through its WrapFile hook by
-	// the CLI (JournalWrap) and the fabric sidecar by Run, golden
-	// checkpoints are poisoned through PoisonCheckpoint, and proc-isolation
-	// pipes are mangled through WrapPipes unless Proc.WrapPipes is set.
+	// the CLI (JournalWrap), golden checkpoints are poisoned through
+	// PoisonCheckpoint, and proc-isolation pipes are mangled through
+	// WrapPipes unless Proc.WrapPipes is set.
 	// Like the network plane, it is a harness-abuse knob: the Result — and
 	// the canonicalized journal bytes — must stay bit-identical to a clean
 	// run.

@@ -203,7 +203,10 @@ func (b *fabricBatchRunner) RunBatch(ctx context.Context, batch []int, skip func
 // executeUnitsFabric is the coordinator-side runFunc under dispatch: the
 // units are sharded over the executor fleet. On completion the journal is
 // canonicalized — rewritten in unit order — so its bytes are independent
-// of which host finished which unit when.
+// of which host finished which unit when. A coordinator restarted with
+// -resume keeps no state of its own: dispatch replays the journal for the
+// done-set, as in every topology, and re-attaching executors claim the
+// units they still hold.
 func executeUnitsFabric(cfg *Config, o execOpts, units []runUnit, fp uint64) ([]unitOutcome, []telemetry.HostStats, error) {
 	var fleet *fabric.FleetTracker
 	out, err := dispatch(o, units, "went down with its executor host on every delivery; quarantined by the coordinator",
@@ -213,15 +216,6 @@ func executeUnitsFabric(cfg *Config, o execOpts, units []runUnit, fp uint64) ([]
 				return err
 			}
 			fo := cfg.Fabric
-			// The sidecar WAL journals the coordinator's scheduling state next
-			// to the verdict journal. A crashed coordinator restarted with
-			// -resume finds it and rebuilds the session table and outstanding
-			// ranges; a completed campaign removes it — only the canonical
-			// journal outlives the run.
-			side, err := openFabricSide(o.journal, fp, JournalWrap(cfg.StorageChaos))
-			if err != nil {
-				return err
-			}
 			// The fleet tracker mirrors the coordinator's session table for
 			// the /fleet endpoint, the TTY note and the report's hosts
 			// section. Its total is the distributed portion only (replayed
@@ -240,7 +234,6 @@ func executeUnitsFabric(cfg *Config, o execOpts, units []runUnit, fp uint64) ([]
 				HeartbeatTimeout:  fo.HeartbeatTimeout,
 				SessionTimeout:    fo.SessionTimeout,
 				Quarantine:        journal.Outcome{Mode: uint8(HostFault)},
-				Side:              side,
 				WrapConn:          chaosWrap(fo.Chaos, reg),
 				Metrics:           fabric.NewMetrics(reg),
 				Tracer:            o.tracer,
@@ -250,63 +243,16 @@ func executeUnitsFabric(cfg *Config, o execOpts, units []runUnit, fp uint64) ([]
 					fmt.Fprintf(os.Stderr, "campaign: "+format+"\n", args...)
 				},
 			})
-			if err == nil {
-				// deliver runs on the coordinator's event-loop goroutine.
-				err = coord.Run(ctx, todo, deliver)
+			if err != nil {
+				return err
 			}
-			switch {
-			case side == nil:
-			case err == nil:
-				// Completed campaign: the scheduling state is spent; drop the
-				// sidecar so a later -resume replays only the verdict journal.
-				if rerr := side.Remove(); rerr != nil {
-					fmt.Fprintf(os.Stderr, "campaign: removing fabric sidecar: %v\n", rerr)
-				}
-			default:
-				// Interrupted or failed: keep the sidecar on disk — it is
-				// exactly what a restarted coordinator needs to recover its
-				// sessions.
-				side.Close()
-			}
-			return err
+			// deliver runs on the coordinator's event-loop goroutine.
+			return coord.Run(ctx, todo, deliver)
 		})
 	if out == nil || fleet == nil {
 		return out, nil, err
 	}
 	return out, fleet.HostStats(), err
-}
-
-// openFabricSide opens (resume) or creates the coordinator's sidecar WAL
-// next to the verdict journal, bound to the plan fingerprint. Without a
-// journal there is nothing to recover into, so no sidecar is kept. A
-// storage-chaos wrap applies to the sidecar exactly as the CLI applies it
-// to the journal: both files live on the same (possibly failing) disk.
-func openFabricSide(j *journal.Journal, fp uint64, wrap journal.Wrap) (*journal.SideLog, error) {
-	if j == nil {
-		return nil, nil
-	}
-	path := j.Path() + ".fabric"
-	var side *journal.SideLog
-	var err error
-	if j.Resumed() {
-		if _, serr := os.Stat(path); serr == nil {
-			side, err = journal.OpenSideWrapped(path, wrap)
-		} else {
-			// The previous run completed its fabric bookkeeping (or ran
-			// pre-sidecar); start scheduling state fresh.
-			side, err = journal.CreateSideWrapped(path, wrap)
-		}
-	} else {
-		side, err = journal.CreateSideWrapped(path, wrap)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("campaign: fabric sidecar: %w", err)
-	}
-	if err := side.Bind(fp); err != nil {
-		side.Close()
-		return nil, fmt.Errorf("campaign: fabric sidecar: %w", err)
-	}
-	return side, nil
 }
 
 // chaosWrap builds the fabric connection wrapper for a chaos config; nil or
@@ -319,7 +265,7 @@ func chaosWrap(cfg *chaos.Config, reg *telemetry.Registry) func(net.Conn) net.Co
 }
 
 // StorageInjector builds the storage/IPC-plane injector for a chaos config:
-// disk.* faults hit the journal and sidecar handles (JournalWrap), pipe.*
+// disk.* faults hit the journal's file handle (JournalWrap), pipe.*
 // faults hit proc-isolation worker pipes, disk.poison corrupts golden
 // checkpoints. nil when the config carries none of those — network-only
 // chaos keeps the storage stack unwrapped. Its counters register on reg. It

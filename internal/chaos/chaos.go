@@ -7,8 +7,8 @@
 // for asymmetric outages), and mid-stream connection resets. The storage
 // plane (WrapFile, disk.go) injects the failures durable state suffers —
 // ENOSPC, short and torn writes, fsync failure and delay, read-back
-// corruption, poisoned checkpoints — into the journal WAL, its fabric
-// sidecar, and the golden checkpoint store. The pipe plane (WrapPipes)
+// corruption, poisoned checkpoints — into the journal WAL and the golden
+// checkpoint store. The pipe plane (WrapPipes)
 // corrupts, truncates or severs the proc-isolation worker pipes so the
 // CRC framing and the supervisor's restart machinery get exercised by the
 // byte-level failures they exist for.

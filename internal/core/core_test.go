@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -13,11 +14,23 @@ func tiny() *core.Engine {
 	return e
 }
 
+var (
+	campaignOnce   sync.Once
+	campaignEngine *core.Engine
+)
+
+// campaignTiny returns the one tiny engine the campaign tests share, built
+// once, so the scale-0.01 §6 campaign it caches runs once per test binary.
+func campaignTiny() *core.Engine {
+	campaignOnce.Do(func() { campaignEngine = tiny() })
+	return campaignEngine
+}
+
 func TestExperimentIDsAllDispatch(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs scaled campaigns")
 	}
-	e := tiny()
+	e := campaignTiny()
 	for _, id := range core.ExperimentIDs() {
 		if id == "table1" {
 			continue // exercised separately; the intensive floor is slow
@@ -93,7 +106,7 @@ func TestCampaignResultCached(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a scaled campaign")
 	}
-	e := core.New(0.01)
+	e := campaignTiny()
 	a, err := e.CampaignResult()
 	if err != nil {
 		t.Fatal(err)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/rand/v2"
 	"net"
 	"sort"
 	"time"
@@ -34,8 +35,8 @@ type Metrics struct {
 	HostDeaths *telemetry.Counter
 	// Quarantines counts units that exhausted maxHostDeaths host deaths.
 	Quarantines *telemetry.Counter
-	// Resumed counts sessions that re-attached after a connection loss
-	// (coordinator restarts included).
+	// Resumed counts sessions that re-attached after a connection loss,
+	// including sessions adopted after a coordinator restart or an expiry.
 	Resumed *telemetry.Counter
 	// BadFrames counts connections severed by a frame checksum mismatch —
 	// the poisoned-frame rejection path.
@@ -83,13 +84,6 @@ type CoordinatorOptions struct {
 	// Quarantine is the outcome recorded for a unit that went down with
 	// maxHostDeaths executor hosts.
 	Quarantine journal.Outcome
-
-	// Side, when non-nil, is the sidecar WAL the coordinator journals its
-	// scheduling state through: session registrations, assignments, steals
-	// and expiries. A Side opened over an earlier coordinator's file
-	// (Side.Resumed) is replayed at the start of Run to rebuild the session
-	// table and outstanding ranges — the coordinator crash-recovery path.
-	Side *journal.SideLog
 
 	// WrapConn, when non-nil, wraps every accepted connection — the hook
 	// the chaos proxy plugs into.
@@ -179,6 +173,7 @@ type event struct {
 	err     error        // non-nil: the connection died
 	join    bool         // handshake completed; register x
 	rd      worker.Ready // the ready frame, for join events
+	claimed []int        // the ready frame's claimed units, decoded
 }
 
 // executorConn is one TCP connection. Scheduling state lives on the session
@@ -217,21 +212,20 @@ type session struct {
 // coordRun is the state of one Run call, touched only by the loop
 // goroutine.
 type coordRun struct {
-	opts      *CoordinatorOptions
-	events    chan event
-	stop      chan struct{} // closed on loop exit; unblocks reader sends
-	sessions  map[uint64]*session
-	nextID    int
-	nextToken uint64
-	started   bool
-	pending   []int // sorted unit indices awaiting an owner
-	owner     map[int]*session
-	done      map[int]bool
-	deaths    map[int]int
-	doneN     int
-	total     int
-	onRes     func(worker.Result) error
-	fatal     error // first onResult error; ends the run
+	opts     *CoordinatorOptions
+	events   chan event
+	stop     chan struct{} // closed on loop exit; unblocks reader sends
+	sessions map[uint64]*session
+	nextID   int
+	started  bool
+	pending  []int // sorted unit indices awaiting an owner
+	owner    map[int]*session
+	done     map[int]bool
+	deaths   map[int]int
+	doneN    int
+	total    int
+	onRes    func(worker.Result) error
+	fatal    error // first onResult or executor error; ends the run
 }
 
 // Run shards the given unit indices over the connected executors and calls
@@ -243,7 +237,8 @@ type coordRun struct {
 //
 // Units of the plan outside indices are treated as already journaled: a
 // late duplicate verdict for one (an executor retransmitting across a
-// coordinator restart) is dropped instead of being delivered twice.
+// coordinator restart) is dropped instead of being delivered twice, and an
+// executor's claim on one is ignored.
 func (c *Coordinator) Run(ctx context.Context, indices []int, onResult func(worker.Result) error) error {
 	defer c.ln.Close()
 	if len(indices) == 0 {
@@ -252,17 +247,16 @@ func (c *Coordinator) Run(ctx context.Context, indices []int, onResult func(work
 	pending := append([]int(nil), indices...)
 	sort.Ints(pending)
 	r := &coordRun{
-		opts:      &c.opts,
-		events:    make(chan event, 64),
-		stop:      make(chan struct{}),
-		sessions:  make(map[uint64]*session),
-		nextToken: 1,
-		pending:   pending,
-		owner:     make(map[int]*session),
-		done:      make(map[int]bool),
-		deaths:    make(map[int]int),
-		total:     len(indices),
-		onRes:     onResult,
+		opts:     &c.opts,
+		events:   make(chan event, 64),
+		stop:     make(chan struct{}),
+		sessions: make(map[uint64]*session),
+		pending:  pending,
+		owner:    make(map[int]*session),
+		done:     make(map[int]bool),
+		deaths:   make(map[int]int),
+		total:    len(indices),
+		onRes:    onResult,
 	}
 	defer close(r.stop)
 
@@ -277,10 +271,6 @@ func (c *Coordinator) Run(ctx context.Context, indices []int, onResult func(work
 		if !inPlan[u] {
 			r.done[u] = true
 		}
-	}
-
-	if err := r.recover(); err != nil {
-		return err
 	}
 
 	// Accept loop: handshakes happen off the event loop (planning inside
@@ -303,7 +293,7 @@ func (c *Coordinator) Run(ctx context.Context, indices []int, onResult func(work
 
 	beat := time.NewTicker(c.opts.HeartbeatInterval)
 	defer beat.Stop()
-	for {
+	for r.doneN < r.total {
 		select {
 		case <-ctx.Done():
 			r.shutdownAll()
@@ -318,25 +308,24 @@ func (c *Coordinator) Run(ctx context.Context, indices []int, onResult func(work
 			}
 			r.expireDetached()
 		case ev := <-r.events:
-			var err error
 			switch {
 			case ev.join:
-				r.register(ev.x, ev.rd)
+				r.register(ev.x, ev.rd, ev.claimed)
 			case ev.err != nil:
 				r.detach(ev.x, ev.err)
 			default:
-				err = r.frame(ev.x, ev.typ, ev.payload)
-			}
-			if err != nil {
-				r.shutdownAll()
-				return err
+				r.frame(ev.x, ev.typ, ev.payload)
 			}
 		}
-		if r.doneN == r.total {
-			r.linger()
-			return nil
+		// Whichever path raised it — a verdict, or a quarantine when a
+		// session expires on the beat — a fatal error ends the run.
+		if r.fatal != nil {
+			r.shutdownAll()
+			return r.fatal
 		}
 	}
+	r.linger()
+	return nil
 }
 
 // linger is the campaign's goodbye phase: the listener and event loop stay
@@ -399,94 +388,19 @@ func (r *coordRun) linger() {
 			default:
 				// Late frames: verdicts are spent duplicates; processing
 				// them re-acks so the executor's buffer drains.
-				_ = r.frame(ev.x, ev.typ, ev.payload)
+				r.frame(ev.x, ev.typ, ev.payload)
 			}
 		}
 	}
 	r.shutdownAll() // nothing left attached; clears the hosts gauge
 }
 
-// recover replays the sidecar WAL of a crashed coordinator: surviving
-// sessions come back detached (their executors redial and re-attach within
-// the grace window), their outstanding ranges stay owned, per-unit death
-// counts carry over, and units exceeding MaxDeliveries are quarantined
-// immediately. With no sidecar (or a fresh one) this is a no-op.
-func (r *coordRun) recover() error {
-	side := r.opts.Side
-	if side == nil || !side.Resumed() {
-		return nil
-	}
-	st, err := replaySide(side, r.opts.Units)
-	if err != nil {
-		return err
-	}
-	r.nextToken = st.maxToken + 1
-	for u, n := range st.deaths {
-		r.deaths[u] = n
-	}
-	tokens := make([]uint64, 0, len(st.sessions))
-	for token := range st.sessions {
-		tokens = append(tokens, token)
-	}
-	sort.Slice(tokens, func(i, j int) bool { return tokens[i] < tokens[j] })
-	stillPending := make(map[int]bool, len(r.pending))
-	for _, u := range r.pending {
-		stillPending[u] = true
-	}
-	for _, token := range tokens {
-		ss := st.sessions[token]
-		s := &session{
-			token:      token,
-			id:         r.nextID,
-			name:       ss.name,
-			workers:    ss.workers,
-			seen:       make(map[uint32]bool),
-			detachedAt: time.Now(),
-		}
-		r.nextID++
-		for _, u := range ss.ownedSorted() {
-			if r.done[u] {
-				continue // journaled before the crash
-			}
-			r.owner[u] = s
-			s.assigned++
-			delete(stillPending, u)
-		}
-		r.sessions[token] = s
-		r.opts.Fleet.Joined(token, s.name, s.workers)
-		r.opts.Fleet.Detached(token)
-		r.fleetAssigned(s)
-	}
-	pending := r.pending[:0]
-	for _, u := range r.pending {
-		if stillPending[u] {
-			pending = append(pending, u)
-		}
-	}
-	r.pending = pending
-	for _, u := range append([]int(nil), r.pending...) {
-		if r.deaths[u] >= maxHostDeaths {
-			r.dropPending(u)
-			r.quarantine(u)
-		}
-	}
-	r.started = len(r.sessions) > 0
-	r.opts.Tracer.Emit(telemetry.Event{Kind: telemetry.KindCoordRecovered,
-		Detail: fmt.Sprintf("%d session(s), %d units outstanding, %d pending", len(r.sessions), len(r.owner), len(r.pending))})
-	r.opts.logf("fabric: recovered coordinator state: %d session(s) awaiting re-attach, %d units outstanding, %d pending",
-		len(r.sessions), len(r.owner), len(r.pending))
-	if err := r.fatalErr(); err != nil {
-		return err // a quarantine delivery failed
-	}
-	return nil
-}
-
 // nudge re-sends a session's outstanding ranges when it has owned units but
 // made no verdict progress for a full HeartbeatTimeout. On a clean link this
 // never fires; under chaos it repairs silently dropped assign frames (the
 // executor never saw the range) and keeps the campaign converging. A
-// re-delivered range is idempotent: the executor deduplicates its queue, and
-// any re-executed unit yields a duplicate verdict the done-set drops.
+// re-delivered range is idempotent: an assign never re-queues a unit the
+// executor already holds.
 func (r *coordRun) nudge(s *session) {
 	if s.assigned == 0 || s.conn == nil {
 		return
@@ -499,16 +413,10 @@ func (r *coordRun) nudge(s *session) {
 		return
 	}
 	s.nudgedAt = time.Now()
-	var outstanding []int
-	for u, o := range r.owner {
-		if o == s && !r.done[u] {
-			outstanding = append(outstanding, u)
-		}
-	}
+	outstanding := r.outstanding(s)
 	if len(outstanding) == 0 {
 		return
 	}
-	sort.Ints(outstanding)
 	r.opts.logf("fabric: %s made no progress for %v; re-sending %d outstanding unit(s)",
 		s.name, r.opts.HeartbeatTimeout, len(outstanding))
 	if err := s.conn.send(msgAssign, encodeRuns(outstanding)); err != nil {
@@ -516,26 +424,17 @@ func (r *coordRun) nudge(s *session) {
 	}
 }
 
-// dropPending removes one unit from the pending slice.
-func (r *coordRun) dropPending(unit int) {
-	for i, u := range r.pending {
-		if u == unit {
-			r.pending = append(r.pending[:i], r.pending[i+1:]...)
-			return
+// outstanding returns a session's owned, unfinished units in ascending
+// order.
+func (r *coordRun) outstanding(s *session) []int {
+	var units []int
+	for u, o := range r.owner {
+		if o == s && !r.done[u] {
+			units = append(units, u)
 		}
 	}
-}
-
-// side appends one record to the sidecar WAL. Append failures degrade
-// recovery (a restarted coordinator redelivers more than it had to) but
-// never the running campaign, so they are logged, not fatal.
-func (r *coordRun) side(kind uint8, payload []byte) {
-	if r.opts.Side == nil {
-		return
-	}
-	if err := r.opts.Side.Append(kind, payload); err != nil {
-		r.opts.logf("fabric: sidecar append failed (recovery state degraded): %v", err)
-	}
+	sort.Ints(units)
+	return units
 }
 
 // handshake runs the coordinator side of one executor's handshake: hello
@@ -596,8 +495,13 @@ func (c *Coordinator) handshake(conn net.Conn, r *coordRun) {
 			if rd.Workers < 1 {
 				rd.Workers = 1
 			}
+			claimed, err := decodeRuns(rd.Claimed, c.opts.Units)
+			if err != nil {
+				reject(fmt.Errorf("executor claim: %w", err))
+				return
+			}
 			select {
-			case r.events <- event{x: x, join: true, rd: rd}:
+			case r.events <- event{x: x, join: true, rd: rd, claimed: claimed}:
 			case <-r.stop:
 				conn.Close()
 				return
@@ -664,55 +568,41 @@ func (r *coordRun) hostsGauge() {
 	}
 }
 
-// register handles a completed handshake: either re-attaching an executor
-// to its surviving session (the ready frame presented a known token) or
-// opening a fresh session. The welcome frame always precedes any assign on
-// the new connection.
-func (r *coordRun) register(x *executorConn, rd worker.Ready) {
-	if rd.Token != 0 {
-		if s, ok := r.sessions[rd.Token]; ok {
-			r.reattach(x, s)
-			return
+// register handles a completed handshake. A ready frame with a token this
+// coordinator knows re-attaches the executor to its surviving session. A
+// nonzero token it does not know names a session of a crashed predecessor,
+// or one this coordinator expired: the session is adopted under that token
+// with the units the executor claims. A zero token opens a fresh session.
+// A re-attached or adopted session gets a resumed welcome carrying the ack
+// watermark, so the executor keeps its queue and prunes its retransmit
+// buffer, and then its outstanding units again in case the original assign
+// died in a partition (the executor drops the ones it already holds). The
+// welcome always precedes any assign on the new connection.
+func (r *coordRun) register(x *executorConn, rd worker.Ready, claimed []int) {
+	resumed := rd.Token != 0
+	s := r.sessions[rd.Token]
+	switch {
+	case s == nil:
+		token := rd.Token
+		if token == 0 {
+			token = r.newToken()
 		}
-		// Unknown or expired token: the session's units were redelivered;
-		// fall through to a fresh session. Verdicts the executor still
-		// retransmits are deduplicated by the done-set.
-		r.opts.logf("fabric: executor %s presented expired session %d; opening a fresh session", rd.Name, rd.Token)
-	}
-	s := &session{
-		token:      r.nextToken,
-		id:         r.nextID,
-		name:       rd.Name,
-		workers:    int(rd.Workers),
-		conn:       x,
-		seen:       make(map[uint32]bool),
-		progressAt: time.Now(),
-	}
-	r.nextToken++
-	r.nextID++
-	x.sess = s
-	r.sessions[s.token] = s
-	r.side(sideSession, encodeSideSession(s.token, s.workers, s.name))
-	if m := r.opts.Metrics; m != nil && m.HostUnits != nil {
-		s.done = m.HostUnits(s.name)
-	}
-	r.opts.Fleet.Joined(s.token, s.name, s.workers)
-	r.hostsGauge()
-	if err := x.send(msgWelcome, encodeWelcome(welcome{Token: s.token})); err != nil {
-		r.detach(x, fmt.Errorf("welcome write: %w", err))
-		return
-	}
-	r.opts.Tracer.Emit(telemetry.Event{Kind: telemetry.KindHostJoined, Detail: fmt.Sprintf("%s (%d workers)", s.name, s.workers)})
-	r.opts.logf("fabric: executor %s joined (%d workers; %d/%d hosts)", s.name, s.workers, len(r.attached()), r.opts.MinHosts)
-	r.schedule()
-}
-
-// reattach binds a new connection to a surviving session: welcome carries
-// the ack watermark so the executor prunes its retransmit buffer, and the
-// session's outstanding units are re-sent (idempotently — the executor
-// deduplicates its queue) in case the original assign died in a partition.
-func (r *coordRun) reattach(x *executorConn, s *session) {
-	if s.conn != nil {
+		s = &session{
+			token:   token,
+			id:      r.nextID,
+			name:    rd.Name,
+			workers: int(rd.Workers),
+			seen:    make(map[uint32]bool),
+		}
+		r.nextID++
+		r.sessions[token] = s
+		if m := r.opts.Metrics; m != nil && m.HostUnits != nil {
+			s.done = m.HostUnits(s.name)
+		}
+		if resumed {
+			r.adopt(s, claimed)
+		}
+	case s.conn != nil:
 		// The old connection is half-open (the executor gave up on it
 		// first). Drop it; its reader will surface a stale error we ignore.
 		s.conn.sess = nil
@@ -722,35 +612,99 @@ func (r *coordRun) reattach(x *executorConn, s *session) {
 	s.detachedAt = time.Time{}
 	s.progressAt = time.Now()
 	x.sess = s
-	if m := r.opts.Metrics; m != nil && m.Resumed != nil {
+	if m := r.opts.Metrics; resumed && m != nil && m.Resumed != nil {
 		m.Resumed.Inc()
 	}
 	r.opts.Fleet.Joined(s.token, s.name, s.workers)
 	r.fleetAssigned(s)
 	r.hostsGauge()
-	if err := x.send(msgWelcome, encodeWelcome(welcome{Token: s.token, Resumed: true, Acked: s.seq})); err != nil {
+	if err := x.send(msgWelcome, encodeWelcome(welcome{Token: s.token, Resumed: resumed, Acked: s.seq})); err != nil {
 		r.detach(x, fmt.Errorf("welcome write: %w", err))
 		return
 	}
-	var outstanding []int
-	for u, o := range r.owner {
-		if o == s && !r.done[u] {
-			outstanding = append(outstanding, u)
-		}
+	if !resumed {
+		r.opts.Tracer.Emit(telemetry.Event{Kind: telemetry.KindHostJoined, Detail: fmt.Sprintf("%s (%d workers)", s.name, s.workers)})
+		r.opts.logf("fabric: executor %s joined (%d workers; %d/%d hosts)", s.name, s.workers, len(r.attached()), r.opts.MinHosts)
+		r.schedule()
+		return
 	}
-	sort.Ints(outstanding)
+	outstanding := r.outstanding(s)
 	r.opts.Tracer.Emit(telemetry.Event{Kind: telemetry.KindHostResumed,
 		Detail: fmt.Sprintf("%s (session %d, %d units outstanding)", s.name, s.token, len(outstanding))})
 	r.opts.logf("fabric: executor %s re-attached to session %d (%d units outstanding, acked seq %d)",
 		s.name, s.token, len(outstanding), s.seq)
 	if len(outstanding) > 0 {
-		// Not recorded in the sidecar: ownership is unchanged.
 		if err := x.send(msgAssign, encodeRuns(outstanding)); err != nil {
 			r.detach(x, fmt.Errorf("assign write: %w", err))
 			return
 		}
 	}
 	r.schedule()
+}
+
+// adopt gives a session this coordinator did not know the units its
+// executor claims, rebuilding the ownership a crashed predecessor (or an
+// expiry here) lost. Units already done are skipped, pending ones are
+// taken, and ones handed to another session meanwhile are taken back with
+// the steal path's revoke. Death counts are not rebuilt: a unit's count
+// restarts with the coordinator.
+func (r *coordRun) adopt(s *session, claimed []int) {
+	mine := make(map[int]bool, len(claimed))
+	taken := make(map[*session][]int)
+	for _, u := range claimed {
+		if r.done[u] {
+			continue
+		}
+		if o := r.owner[u]; o != nil {
+			o.assigned--
+			taken[o] = append(taken[o], u)
+		}
+		r.owner[u] = s
+		s.assigned++
+		mine[u] = true
+	}
+	pending := r.pending[:0]
+	for _, u := range r.pending {
+		if !mine[u] {
+			pending = append(pending, u)
+		}
+	}
+	r.pending = pending
+	victims := make([]*session, 0, len(taken))
+	for o := range taken {
+		victims = append(victims, o)
+	}
+	sort.Slice(victims, func(i, j int) bool { return victims[i].id < victims[j].id })
+	for _, o := range victims {
+		r.opts.logf("fabric: %s reclaims %d units from %s", s.name, len(taken[o]), o.name)
+		r.revoke(o, taken[o])
+	}
+	r.opts.logf("fabric: adopted session %d of %s: %d of %d claimed units outstanding",
+		s.token, s.name, len(mine), len(claimed))
+}
+
+// revoke tells a session's executor that units it was assigned now belong
+// to another session. A detached session cannot be told; its executor runs
+// them anyway and the merge drops the duplicate verdicts.
+func (r *coordRun) revoke(s *session, units []int) {
+	r.fleetAssigned(s)
+	if s.conn == nil {
+		return
+	}
+	if err := s.conn.send(msgRevoke, encodeRuns(units)); err != nil {
+		r.detach(s.conn, fmt.Errorf("revoke write: %w", err))
+	}
+}
+
+// newToken draws a fresh session token. Tokens are random, not counted, so
+// a restarted coordinator cannot hand out a token that an executor of its
+// predecessor will present for adoption.
+func (r *coordRun) newToken() uint64 {
+	for {
+		if t := rand.Uint64(); t != 0 && r.sessions[t] == nil {
+			return t
+		}
+	}
 }
 
 // detach handles a lost connection: the session survives, detached, for
@@ -790,15 +744,8 @@ func (r *coordRun) expireDetached() {
 
 func (r *coordRun) expire(s *session) {
 	delete(r.sessions, s.token)
-	r.side(sideExpire, encodeSideExpire(s.token))
 	r.opts.Fleet.Expired(s.token)
-	var lost []int
-	for u, o := range r.owner {
-		if o == s {
-			lost = append(lost, u)
-		}
-	}
-	sort.Ints(lost)
+	lost := r.outstanding(s)
 	m := r.opts.Metrics
 	if m != nil && m.HostDeaths != nil {
 		m.HostDeaths.Inc()
@@ -823,7 +770,7 @@ func (r *coordRun) expire(s *session) {
 }
 
 // quarantine records the Quarantine outcome for a unit that went down with
-// MaxDeliveries executor hosts.
+// maxHostDeaths executor hosts.
 func (r *coordRun) quarantine(u int) {
 	if r.done[u] {
 		return
@@ -838,64 +785,62 @@ func (r *coordRun) quarantine(u int) {
 	r.deliver(worker.Result{Index: u, Outcome: r.opts.Quarantine, Quarantined: true})
 }
 
-// deliver invokes onResult; an error is remembered as fatal by frame().
+// deliver invokes onResult; its first error becomes the run's fatal error.
 func (r *coordRun) deliver(res worker.Result) {
 	if r.onRes == nil {
 		return
 	}
-	if err := r.onRes(res); err != nil {
-		// Surface through the loop: stash as a synthetic fatal event.
+	if err := r.onRes(res); err != nil && r.fatal == nil {
 		r.fatal = err
 	}
 }
 
-// frame handles one frame from a registered executor. A returned error is
-// fatal to the whole run (onResult failure or an executor-reported fatal
-// unit error — the same unit would fail on any host).
-func (r *coordRun) frame(x *executorConn, typ uint8, payload []byte) error {
+// frame handles one frame from a registered executor. An executor-reported
+// error is fatal to the whole run (the same unit would fail on any host);
+// so is an onResult failure, which deliver records.
+func (r *coordRun) frame(x *executorConn, typ uint8, payload []byte) {
 	s := x.sess
 	if s == nil || s.conn != x {
 		x.conn.Close() // stale conn replaced by a reconnect; drop its frames
-		return r.fatalErr()
+		return
 	}
 	r.opts.Fleet.Seen(s.token)
 	switch typ {
 	case worker.MsgHeartbeat:
-		return r.fatalErr()
 	case msgTelemetry:
 		sentUS, entries, err := decodeSnapshot(payload, maxSnapEntries)
 		if err != nil {
 			r.detach(x, err)
-			return r.fatalErr()
+			return
 		}
 		r.ingestSnapshot(s, sentUS, entries)
-		return r.fatalErr()
 	case msgTrace:
 		sentUS, evs, err := decodeTraceEvents(payload, maxTraceEvents)
 		if err != nil {
 			r.detach(x, err)
-			return r.fatalErr()
+			return
 		}
 		r.ingestTrace(s, sentUS, evs)
-		return r.fatalErr()
 	case worker.MsgError:
-		return fmt.Errorf("fabric: executor %s: %s", s.name, payload)
+		if r.fatal == nil {
+			r.fatal = fmt.Errorf("fabric: executor %s: %s", s.name, payload)
+		}
 	case worker.MsgVerdict:
 		v, err := worker.DecodeVerdict(payload)
 		if err != nil {
 			r.detach(x, err)
-			return r.fatalErr()
+			return
 		}
 		u := int(v.Unit)
 		if u < 0 || u >= r.opts.Units {
 			r.detach(x, fmt.Errorf("verdict for unit %d outside the %d-unit plan", u, r.opts.Units))
-			return r.fatalErr()
+			return
 		}
 		if v.Seq <= s.seq || s.seen[v.Seq] {
 			// A retransmit of a verdict this session already processed;
 			// re-ack the watermark so the executor prunes its buffer.
 			_ = x.send(msgAck, encodeAck(s.seq))
-			return r.fatalErr()
+			return
 		}
 		// The ack is cumulative (TCP-style): s.seq is the highest seq below
 		// which everything was processed. A chaos-dropped write leaves a gap
@@ -912,7 +857,7 @@ func (r *coordRun) frame(x *executorConn, typ uint8, payload []byte) error {
 			// Duplicate from a steal race, a redelivery, or a pre-restart
 			// journal append; the verdict is spent.
 			_ = x.send(msgAck, encodeAck(s.seq))
-			return r.fatalErr()
+			return
 		}
 		r.done[u] = true
 		r.doneN++
@@ -925,26 +870,21 @@ func (r *coordRun) frame(x *executorConn, typ uint8, payload []byte) error {
 		}
 		r.opts.Fleet.Merged(s.token, r.doneN)
 		r.deliver(worker.Result{Index: u, Outcome: v.Outcome, Payload: v.Payload})
-		if err := r.fatalErr(); err != nil {
-			return err
+		if r.fatal != nil {
+			return
 		}
 		// Ack only after deliver: every seq at or below the watermark has
 		// been journaled, so an executor that prunes on this ack can never
 		// strand an unjournaled verdict.
 		if err := x.send(msgAck, encodeAck(s.seq)); err != nil {
 			r.detach(x, fmt.Errorf("ack write: %w", err))
-			return r.fatalErr()
+			return
 		}
 		r.schedule()
-		return nil
 	default:
 		r.detach(x, fmt.Errorf("unexpected frame type %d", typ))
-		return r.fatalErr()
 	}
 }
-
-// fatal holds the first onResult error; fatalErr drains it.
-func (r *coordRun) fatalErr() error { return r.fatal }
 
 // schedule is the whole balancing policy, run after every join, verdict
 // and expiry:
@@ -994,32 +934,21 @@ func (r *coordRun) schedule() {
 		if victim == nil || victim.assigned < 2 {
 			continue
 		}
-		var units []int
-		for u, o := range r.owner {
-			if o == victim {
-				units = append(units, u)
-			}
-		}
-		sort.Ints(units)
+		units := r.outstanding(victim)
 		stolen := units[len(units)-len(units)/2:]
 		for _, u := range stolen {
 			r.owner[u] = thief
 		}
 		victim.assigned -= len(stolen)
 		thief.assigned += len(stolen)
-		r.side(sideRevoke, encodeSideUnits(victim.token, stolen))
-		r.side(sideAssign, encodeSideUnits(thief.token, stolen))
-		r.fleetAssigned(victim)
-		r.fleetAssigned(thief)
 		if m := r.opts.Metrics; m != nil && m.Steals != nil {
 			m.Steals.Inc()
 		}
 		r.opts.Tracer.Emit(telemetry.Event{Kind: telemetry.KindSteal, Detail: fmt.Sprintf("%d units %s -> %s", len(stolen), victim.name, thief.name)})
 		r.opts.logf("fabric: %s stole %d units from %s", thief.name, len(stolen), victim.name)
-		if err := victim.conn.send(msgRevoke, encodeRuns(stolen)); err != nil {
-			r.detach(victim.conn, fmt.Errorf("revoke write: %w", err))
-			// The stolen units stay with the thief either way.
-		}
+		// The stolen units stay with the thief even if the revoke fails.
+		r.revoke(victim, stolen)
+		r.fleetAssigned(thief)
 		r.assign(thief, stolen)
 	}
 }
@@ -1049,15 +978,13 @@ func (r *coordRun) distribute(xs []*session, units []int) {
 			r.owner[u] = s
 		}
 		s.assigned += len(slice)
-		r.side(sideAssign, encodeSideUnits(s.token, slice))
 		r.fleetAssigned(s)
 		r.assign(s, slice)
 	}
 }
 
-// assign ships one sorted unit set to an attached session. The owner and
-// sidecar bookkeeping are the caller's; assign only encodes, counts and
-// writes.
+// assign ships one sorted unit set to an attached session. The owner
+// bookkeeping is the caller's; assign only encodes, counts and writes.
 func (r *coordRun) assign(s *session, units []int) {
 	if len(units) == 0 || s.conn == nil {
 		return

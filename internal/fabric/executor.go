@@ -206,7 +206,7 @@ func Join(ctx context.Context, addr string, opts ExecutorOptions) error {
 			// verdicts still unacked are surplus a restarted coordinator
 			// re-derives by redelivery (duplicates are merged away).
 			x.qmu.Lock()
-			idle := len(x.queue) == 0 && !x.batchActive
+			idle := len(x.queue) == 0 && x.running == nil
 			x.qmu.Unlock()
 			if idle {
 				x.smu.Lock()
@@ -245,12 +245,12 @@ type executor struct {
 	ackedSeq  uint32           // coordinator's cumulative ack watermark
 	lastAckAt time.Time        // last watermark advance (stall detection)
 
-	qmu         sync.Mutex
-	queue       []int        // assigned, not yet handed to RunBatch; sorted
-	revoked     map[int]bool // stolen; skip if not yet started
-	wake        chan struct{}
-	shutdown    bool
-	batchActive bool // a batch is inside RunBatch right now
+	qmu      sync.Mutex   // taken after smu when both are held
+	queue    []int        // assigned, not yet handed to RunBatch; sorted
+	running  map[int]bool // the batch inside RunBatch, less units answered or skipped; nil between batches
+	revoked  map[int]bool // stolen; skip if not yet started
+	wake     chan struct{}
+	shutdown bool
 
 	bmu      sync.Mutex
 	batchErr error
@@ -424,8 +424,13 @@ func (x *executor) session(ctx context.Context, conn net.Conn) error {
 		x.fp = h.Spec.Fingerprint
 	}
 
+	// The claim lets a coordinator that no longer knows this session (it
+	// restarted, or expired the session) adopt it with the units held here.
 	x.smu.Lock()
+	x.qmu.Lock()
 	token := x.token
+	claimed := sortedUnits(x.heldLocked())
+	x.qmu.Unlock()
 	x.smu.Unlock()
 	if err := x.write(conn, worker.MsgReady, worker.EncodeReady(worker.Ready{
 		Version:     worker.ProtocolVersion,
@@ -434,6 +439,7 @@ func (x *executor) session(ctx context.Context, conn net.Conn) error {
 		Workers:     uint32(x.opts.Workers),
 		Token:       token,
 		Name:        x.opts.Name,
+		Claimed:     encodeRuns(claimed),
 	})); err != nil {
 		return fmt.Errorf("fabric: sending ready: %w", err)
 	}
@@ -455,13 +461,13 @@ func (x *executor) session(ctx context.Context, conn net.Conn) error {
 }
 
 // awaitWelcome reads the coordinator's welcome and installs the session:
-// on a resume, the retransmit buffer is pruned to the coordinator's ack
-// watermark and the remainder is flushed; on a fresh session (first join,
-// or the old session expired), buffered verdicts are re-stamped under the
-// new session and flushed, and the stale queue is discarded — the
-// coordinator re-assigns from scratch. The session lock is held across the
-// flush so a concurrent emit cannot interleave a new verdict ahead of a
-// retransmit (sequence numbers must reach the coordinator in order).
+// the retransmit buffer is pruned to the coordinator's ack watermark and
+// the remainder is flushed, and the queue stays — a coordinator that knows
+// this session kept its assignments, one that did not adopted the claim.
+// (A fresh session is a first join, with nothing buffered or queued.) The
+// session lock is held across the flush so a concurrent emit cannot
+// interleave a new verdict ahead of a retransmit (sequence numbers must
+// reach the coordinator in order).
 func (x *executor) awaitWelcome(conn net.Conn) error {
 	for {
 		_ = conn.SetReadDeadline(time.Now().Add(x.hb.HeartbeatTimeout))
@@ -489,48 +495,31 @@ func (x *executor) awaitWelcome(conn net.Conn) error {
 			}
 			x.smu.Lock()
 			defer x.smu.Unlock()
+			kept := x.unacked[:0]
+			for _, v := range x.unacked {
+				if v.Seq > w.Acked {
+					kept = append(kept, v)
+				}
+			}
+			// Re-stamp the survivors consecutively above the
+			// coordinator's watermark. Against a coordinator that acked
+			// this session before, this is the identity (cumulative acks
+			// leave the buffer contiguous at acked+1..seq) — but a
+			// coordinator that adopted the session starts it at watermark
+			// 0 while this buffer's prefix was acked by its predecessor,
+			// and without renumbering the gap below the buffer's first seq
+			// would pin the new watermark at 0 forever: nothing prunes,
+			// every stall re-sends everything.
+			for i := range kept {
+				kept[i].Seq = w.Acked + uint32(i+1)
+			}
+			x.unacked = kept
+			x.seq = w.Acked + uint32(len(kept))
 			if w.Resumed {
-				kept := x.unacked[:0]
-				for _, v := range x.unacked {
-					if v.Seq > w.Acked {
-						kept = append(kept, v)
-					}
-				}
-				// Re-stamp the survivors consecutively above the
-				// coordinator's watermark. Against a coordinator that acked
-				// this session before, this is the identity (cumulative acks
-				// leave the buffer contiguous at acked+1..seq) — but a
-				// coordinator recovered from the sidecar starts the session
-				// at watermark 0 while this buffer's prefix was acked by its
-				// predecessor, and without renumbering the gap below the
-				// buffer's first seq would pin the new watermark at 0
-				// forever: nothing prunes, every stall re-sends everything.
-				for i := range kept {
-					kept[i].Seq = w.Acked + uint32(i+1)
-				}
-				x.unacked = kept
-				x.seq = w.Acked + uint32(len(kept))
 				if m := x.opts.Metrics; m != nil && m.Resumes != nil {
 					m.Resumes.Inc()
 				}
 				x.opts.logf("fabric: session %d resumed; retransmitting %d unacknowledged verdict(s)", w.Token, len(x.unacked))
-			} else {
-				// Fresh session: the old assignments are void (the
-				// coordinator redelivered or never knew them), but buffered
-				// verdicts are still good — verdicts are deterministic, and
-				// retransmitting saves re-execution elsewhere.
-				for i := range x.unacked {
-					x.unacked[i].Seq = uint32(i + 1)
-				}
-				x.seq = uint32(len(x.unacked))
-				x.qmu.Lock()
-				x.queue = nil
-				x.revoked = make(map[int]bool)
-				x.qmu.Unlock()
-				if x.token != 0 {
-					x.opts.logf("fabric: session %d expired on the coordinator; starting session %d with %d buffered verdict(s)",
-						x.token, w.Token, len(x.unacked))
-				}
 			}
 			x.token = w.Token
 			x.ackedSeq = w.Acked
@@ -584,47 +573,34 @@ func (x *executor) readLoop(conn net.Conn) error {
 			if err != nil {
 				return err
 			}
-			// Units this host already executed sit in the retransmit buffer
-			// awaiting an ack; a re-assignment of those (a stall nudge, or a
-			// recovered coordinator re-sending outstanding ranges) must not
-			// re-execute them — the buffered verdict is already the answer
-			// and the retransmit path delivers it. Without this filter every
-			// nudge during a long outage re-runs the whole assignment and
-			// the buffer grows without bound.
+			// An assign never re-queues a unit this host already holds: a
+			// re-attach and a stall nudge re-send whole outstanding ranges,
+			// and a unit already queued, in the running batch, or answered
+			// with its verdict awaiting an ack must not run again — the
+			// retransmit path delivers a buffered verdict. A re-assignment
+			// supersedes an old steal, so a revoked unit the running batch
+			// has not reached yet runs after all.
 			x.smu.Lock()
-			emitted := make(map[int]bool, len(x.unacked))
-			for _, v := range x.unacked {
-				emitted[int(v.Unit)] = true
-			}
-			x.smu.Unlock()
-			fresh := units[:0]
-			for _, u := range units {
-				if !emitted[u] {
-					fresh = append(fresh, u)
-				}
-			}
-			units = fresh
 			x.qmu.Lock()
 			for _, u := range units {
-				delete(x.revoked, u) // re-assignment supersedes an old steal
+				delete(x.revoked, u)
 			}
-			x.queue = append(x.queue, units...)
-			sort.Ints(x.queue)
-			// A re-attach re-sends outstanding ranges; deduplicate so a
-			// unit is not queued (and executed) twice by this host.
-			dedup := x.queue[:0]
-			for i, u := range x.queue {
-				if i == 0 || u != x.queue[i-1] {
-					dedup = append(dedup, u)
+			held := x.heldLocked()
+			added := 0
+			for _, u := range units {
+				if !held[u] {
+					x.queue = append(x.queue, u)
+					added++
 				}
 			}
-			x.queue = dedup
+			sort.Ints(x.queue)
 			x.qmu.Unlock()
+			x.smu.Unlock()
 			select {
 			case x.wake <- struct{}{}:
 			default:
 			}
-			x.opts.logf("fabric: assigned %d units", len(units))
+			x.opts.logf("fabric: assigned %d units (%d already held)", added, len(units)-added)
 		case msgRevoke:
 			units, err := decodeRuns(payload, x.units)
 			if err != nil {
@@ -662,6 +638,35 @@ func (x *executor) readLoop(conn net.Conn) error {
 	}
 }
 
+// heldLocked returns the units this executor holds and the coordinator has
+// not acknowledged: the queue, the running batch less revoked units, and the
+// units whose verdicts await an ack. Callers hold smu and qmu.
+func (x *executor) heldLocked() map[int]bool {
+	held := make(map[int]bool, len(x.queue)+len(x.running)+len(x.unacked))
+	for _, u := range x.queue {
+		held[u] = true
+	}
+	for u := range x.running {
+		if !x.revoked[u] {
+			held[u] = true
+		}
+	}
+	for _, v := range x.unacked {
+		held[int(v.Unit)] = true
+	}
+	return held
+}
+
+// sortedUnits lists a unit set in ascending order.
+func sortedUnits(set map[int]bool) []int {
+	units := make([]int, 0, len(set))
+	for u := range set {
+		units = append(units, u)
+	}
+	sort.Ints(units)
+	return units
+}
+
 // emit stamps one verdict with the next sequence number, buffers it for
 // retransmission, and sends it if the wire is up. A connection failure is
 // not an error: the verdict stays buffered, the dead connection is severed
@@ -672,6 +677,9 @@ func (x *executor) emit(unit int, o journal.Outcome, payload []byte) error {
 	}
 	x.smu.Lock()
 	defer x.smu.Unlock()
+	x.qmu.Lock()
+	delete(x.running, unit)
+	x.qmu.Unlock()
 	x.seq++
 	v := worker.Verdict{Seq: x.seq, Unit: uint32(unit), Outcome: o, Payload: payload}
 	x.unacked = append(x.unacked, v)
@@ -776,13 +784,22 @@ func (x *executor) batchLoop(ctx context.Context, runner BatchRunner) error {
 	skip := func(u int) bool {
 		x.qmu.Lock()
 		defer x.qmu.Unlock()
-		return x.revoked[u]
+		if x.revoked[u] {
+			delete(x.running, u) // passed over: a re-assign queues it anew
+			return true
+		}
+		return false
 	}
 	for {
 		x.qmu.Lock()
 		batch := x.queue
 		x.queue = nil
-		x.batchActive = len(batch) > 0
+		if len(batch) > 0 {
+			x.running = make(map[int]bool, len(batch))
+			for _, u := range batch {
+				x.running[u] = true
+			}
+		}
 		x.qmu.Unlock()
 		if len(batch) == 0 {
 			select {
@@ -794,7 +811,7 @@ func (x *executor) batchLoop(ctx context.Context, runner BatchRunner) error {
 		}
 		err := runner.RunBatch(ctx, batch, skip, x.emit)
 		x.qmu.Lock()
-		x.batchActive = false
+		x.running = nil
 		x.qmu.Unlock()
 		if err != nil {
 			if ctx.Err() == nil {

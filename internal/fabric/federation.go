@@ -399,12 +399,5 @@ func (r *coordRun) fleetAssigned(s *session) {
 	if r.opts.Fleet == nil {
 		return
 	}
-	var units []int
-	for u, o := range r.owner {
-		if o == s && !r.done[u] {
-			units = append(units, u)
-		}
-	}
-	sort.Ints(units)
-	r.opts.Fleet.Assigned(s.token, units)
+	r.opts.Fleet.Assigned(s.token, r.outstanding(s))
 }

@@ -23,13 +23,14 @@
 // keeps the scheduling policy simple — nothing needs distributed consensus,
 // only the coordinator's single-threaded event loop.
 //
-// The wire protocol is internal/worker's (version 3): the same CRC frames
+// The wire protocol is internal/worker's (version 4): the same CRC frames
 // (length u32 | type u8 | payload | crc32 u32), the same hello, ready,
 // verdict, heartbeat, shutdown and error messages, one numbering and one
 // ProtocolVersion, so a poisoned frame severs the connection for
 // re-establishment rather than desynchronizing the stream. On TCP a
 // verdict's seq is the per-session sequence number and its last flag is
-// unused; ready's workers, token and name identify the executor's session.
+// unused; ready's workers, token and name identify the executor's session,
+// and its claimed units are the ones the executor holds unacknowledged.
 // The fabric adds six messages of its own, numbered on from
 // worker.MsgFabric (all integers little-endian):
 //
@@ -51,14 +52,22 @@
 // The coordinator opens with hello; the executor answers ready after
 // re-planning, echoing the negotiated version and the plan fingerprint it
 // reconstructed, plus its session token — zero on a first join, the token
-// from the welcome frame when re-attaching after a connection loss. The
+// from the welcome frame when re-attaching after a connection loss — and
+// its claim: the units it holds and has not had acknowledged (queued, in
+// its running batch, or answered with the verdict awaiting an ack). The
 // coordinator answers ready with welcome: the session token to present next
 // time, whether the session resumed (an existing session's assignments
 // survive the reconnect), and the highest verdict sequence number it has
-// processed, which lets the executor prune its retransmit buffer.
+// processed, which lets the executor prune its retransmit buffer. A
+// coordinator that does not know the token — it was restarted, or it
+// expired the session — adopts the session under that token with the
+// claimed units, so the one crash-safe log a campaign keeps is its verdict
+// journal: the done-set comes from the journal, the ownership from the
+// executors.
 //
-// Assign and revoke carry run-length-encoded sorted unit sets: a fresh
-// campaign's shard is one run, a resumed campaign's holes make more.
+// Assign, revoke and the claim carry run-length-encoded sorted unit sets:
+// a fresh campaign's shard is one run, a resumed campaign's holes make
+// more. An assign never re-queues a unit the executor already holds.
 // Verdict mode/flags use the journal.Outcome wire encoding, the same bytes
 // the journal appends, so a verdict crosses host, supervisor and journal
 // without translation. Each verdict's sequence number is acknowledged by
@@ -82,7 +91,6 @@ package fabric
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/telemetry"
@@ -164,8 +172,9 @@ func encodeRuns(units []int) []byte {
 }
 
 // decodeRuns expands a run-length payload back into sorted unit indices.
-// maxUnits bounds the total expansion, so a hostile frame cannot make the
-// receiver allocate beyond the plan's own size.
+// Runs must ascend without overlap and end inside the plan's maxUnits, so a
+// hostile frame can neither name a unit outside the plan, repeat one, nor
+// make the receiver allocate beyond the plan's own size.
 func decodeRuns(b []byte, maxUnits int) ([]int, error) {
 	if len(b) < 4 {
 		return nil, fmt.Errorf("fabric: run-set frame too short (%d bytes)", len(b))
@@ -182,15 +191,15 @@ func decodeRuns(b []byte, maxUnits int) ([]int, error) {
 		if count == 0 {
 			return nil, fmt.Errorf("fabric: empty run in run-set")
 		}
-		if len(units)+count > maxUnits {
-			return nil, fmt.Errorf("fabric: run-set expands past the plan's %d units", maxUnits)
+		if len(units) > 0 && start <= units[len(units)-1] {
+			return nil, fmt.Errorf("fabric: run-set is not sorted")
+		}
+		if start+count > maxUnits {
+			return nil, fmt.Errorf("fabric: run-set reaches past the plan's %d units", maxUnits)
 		}
 		for u := start; u < start+count; u++ {
 			units = append(units, u)
 		}
-	}
-	if !sort.IntsAreSorted(units) {
-		return nil, fmt.Errorf("fabric: run-set is not sorted")
 	}
 	return units, nil
 }

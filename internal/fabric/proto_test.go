@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"bytes"
+	"encoding/binary"
 	"reflect"
 	"testing"
 	"time"
@@ -13,8 +14,8 @@ import (
 
 // The fabric speaks the worker protocol's hello, ready and verdict codec;
 // these round trips pin the fields only the fabric sets: the heartbeat
-// timeout, a host's token, name and worker count, and verdict sequence
-// numbers.
+// timeout, a host's token, name, worker count and claimed units, and
+// verdict sequence numbers.
 
 func TestHelloRoundTrip(t *testing.T) {
 	in := worker.Hello{
@@ -48,13 +49,21 @@ func TestHelloTruncated(t *testing.T) {
 }
 
 func TestReadyRoundTrip(t *testing.T) {
-	in := worker.Ready{Version: worker.ProtocolVersion, Fingerprint: 0x0123456789abcdef, Units: 991, Workers: 8, Token: 0xfeedface, Name: "host-b"}
+	claim := []int{3, 4, 5, 17, 990}
+	in := worker.Ready{Version: worker.ProtocolVersion, Fingerprint: 0x0123456789abcdef, Units: 991, Workers: 8, Token: 0xfeedface, Name: "host-b",
+		Claimed: encodeRuns(claim)}
 	out, err := worker.DecodeReady(worker.EncodeReady(in))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out != in {
+	if !reflect.DeepEqual(out, in) {
 		t.Fatalf("round trip mismatch: %+v != %+v", out, in)
+	}
+	if got, err := decodeRuns(out.Claimed, int(out.Units)); err != nil || !reflect.DeepEqual(got, claim) {
+		t.Fatalf("claimed units decode to %v (%v), want %v", got, err, claim)
+	}
+	if _, err := decodeRuns(out.Claimed, 990); err == nil {
+		t.Fatal("a claim on unit 990 decoded under a 990-unit plan")
 	}
 	if _, err := worker.DecodeReady(worker.EncodeReady(in)[:19]); err == nil {
 		t.Fatal("DecodeReady accepted a short frame")
@@ -140,10 +149,25 @@ func TestRunsRoundTrip(t *testing.T) {
 }
 
 func TestRunsExpansionBound(t *testing.T) {
-	// One run of 1000 units must not decode under a 10-unit plan.
-	b := encodeRuns(seqUnits(0, 1000))
-	if _, err := decodeRuns(b, 10); err == nil {
-		t.Fatal("decodeRuns expanded past maxUnits")
+	// rawRuns lays out a run-set by hand from (start, count) pairs.
+	rawRuns := func(pairs ...uint32) []byte {
+		b := binary.LittleEndian.AppendUint32(nil, uint32(len(pairs)/2))
+		for _, v := range pairs {
+			b = binary.LittleEndian.AppendUint32(b, v)
+		}
+		return b
+	}
+	// One run of 1000 units must not decode under a 10-unit plan, nor may
+	// a run name a unit past the plan, overlap an earlier run or descend.
+	for _, b := range [][]byte{
+		encodeRuns(seqUnits(0, 1000)),
+		rawRuns(10, 1),
+		rawRuns(2, 2, 3, 1),
+		rawRuns(5, 1, 2, 1),
+	} {
+		if units, err := decodeRuns(b, 10); err == nil {
+			t.Fatalf("decodeRuns accepted %v under a 10-unit plan", units)
+		}
 	}
 }
 
@@ -157,17 +181,17 @@ func seqUnits(start, n int) []int {
 
 // FuzzDecoders feeds arbitrary payloads to every frame decoder the fabric
 // speaks: the shared hello/ready/verdict decoders of the worker protocol
-// (the pipes run them too), the fabric's own messages and the sidecar's
-// records. None may panic, and an accepted run-set must never expand past the
-// maxUnits bound no matter what the frame claims.
+// (the pipes run them too), the fabric's own messages, and the run-set a
+// ready frame claims. None may panic, and an accepted run-set must never
+// expand past the maxUnits bound no matter what the frame claims.
 func FuzzDecoders(f *testing.F) {
 	f.Add(worker.EncodeHello(worker.Hello{Version: worker.ProtocolVersion, Spec: worker.Spec{Kind: "k", Payload: []byte("p")}}))
 	f.Add(worker.EncodeReady(worker.Ready{Version: worker.ProtocolVersion, Token: 7, Name: "n"}))
 	f.Add(worker.EncodeVerdict(worker.Verdict{Seq: 5, Unit: 3, Last: true, Payload: []byte("out")}))
 	f.Add(encodeWelcome(welcome{Token: 12, Resumed: true, Acked: 44}))
 	f.Add(encodeAck(99))
-	f.Add(encodeSideSession(3, 2, "host"))
-	f.Add(encodeSideUnits(3, []int{0, 1, 2, 9, 10}))
+	f.Add(worker.EncodeReady(worker.Ready{Version: worker.ProtocolVersion, Units: 128, Name: "n", Claimed: encodeRuns(nil)}))
+	f.Add(worker.EncodeReady(worker.Ready{Version: worker.ProtocolVersion, Units: 128, Token: 7, Name: "n", Claimed: encodeRuns([]int{0, 1, 2, 9, 10})}))
 	f.Add(encodeRuns([]int{0, 1, 2, 9, 10}))
 	f.Add(encodeSnapshot(1722000000000000, []snapEntry{
 		{Name: "fabric_units_executed_total", Value: 31},
@@ -179,19 +203,24 @@ func FuzzDecoders(f *testing.F) {
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		worker.DecodeHello(data)
-		worker.DecodeReady(data)
 		worker.DecodeVerdict(data)
 		decodeWelcome(data)
 		decodeAck(data)
-		decodeSideSession(data)
-		decodeSideExpire(data)
-		const maxSideUnits = 128
-		if _, units, err := decodeSideUnits(data, maxSideUnits); err == nil && len(units) > maxSideUnits {
-			t.Fatalf("decodeSideUnits returned %d units past the %d bound", len(units), maxSideUnits)
-		}
 		const maxUnits = 128
-		if units, err := decodeRuns(data, maxUnits); err == nil && len(units) > maxUnits {
-			t.Fatalf("decodeRuns returned %d units past the %d bound", len(units), maxUnits)
+		checkRuns := func(b []byte) {
+			units, err := decodeRuns(b, maxUnits)
+			if err != nil {
+				return
+			}
+			for i, u := range units {
+				if u < 0 || u >= maxUnits || i > 0 && u <= units[i-1] {
+					t.Fatalf("decodeRuns returned %v: not ascending inside the %d-unit plan", units, maxUnits)
+				}
+			}
+		}
+		checkRuns(data)
+		if rd, err := worker.DecodeReady(data); err == nil {
+			checkRuns(rd.Claimed)
 		}
 		const maxFed = 16
 		if _, entries, err := decodeSnapshot(data, maxFed); err == nil && len(entries) > maxFed {

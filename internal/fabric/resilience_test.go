@@ -3,6 +3,7 @@ package fabric
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"os"
@@ -98,10 +99,57 @@ func (r *relay) accept() {
 	}
 }
 
+// execCounts counts how often each unit actually ran, across every runner a
+// test builds: the executors' side of exactly-once, which the merge's
+// duplicate drop would otherwise hide.
+type execCounts struct {
+	mu sync.Mutex
+	n  map[int]int
+}
+
+func (c *execCounts) factory(f worker.Factory) worker.Factory {
+	return func(spec worker.Spec) (worker.Runner, error) {
+		r, err := f(spec)
+		if err != nil {
+			return nil, err
+		}
+		return countingRunner{r, c}, nil
+	}
+}
+
+type countingRunner struct {
+	worker.Runner
+	c *execCounts
+}
+
+func (r countingRunner) Run(unit int) (journal.Outcome, []byte, error) {
+	r.c.mu.Lock()
+	if r.c.n == nil {
+		r.c.n = make(map[int]int)
+	}
+	r.c.n[unit]++
+	r.c.mu.Unlock()
+	return r.Runner.Run(unit)
+}
+
+// once fails the test unless each of the plan's units ran exactly once.
+func (c *execCounts) once(t *testing.T, units int) {
+	t.Helper()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for u := 0; u < units; u++ {
+		if c.n[u] != 1 {
+			t.Errorf("unit %d executed %d times, want exactly once", u, c.n[u])
+		}
+	}
+}
+
 // TestFabricReconnectResume severs the executor's connection twice
 // mid-campaign. The session must survive both cuts — the executor
 // re-attaches, retransmits unacked verdicts, and the campaign completes with
-// exactly-once delivery, zero host deaths and zero redeliveries.
+// exactly-once delivery, zero host deaths and zero redeliveries. The
+// re-attach re-sends the session's outstanding units, and none of them may
+// run twice: the executor already holds them.
 func TestFabricReconnectResume(t *testing.T) {
 	const units = 60
 	reg := telemetry.NewRegistry()
@@ -130,11 +178,12 @@ func TestFabricReconnectResume(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	xm := &ExecutorMetrics{Reconnects: reg.Counter("reconnects"), Resumes: reg.Counter("resumes")}
+	var execs execCounts
 	joinErr := make(chan error, 1)
 	go func() {
 		joinErr <- Join(ctx, rl.addr(), ExecutorOptions{
 			Name:            "flaky",
-			Batch:           inProcFactory(fakeFactory(units, 2*time.Millisecond), 1),
+			Batch:           inProcFactory(execs.factory(fakeFactory(units, 2*time.Millisecond)), 1),
 			ReconnectWindow: 15 * time.Second,
 			Metrics:         xm,
 		})
@@ -160,14 +209,16 @@ func TestFabricReconnectResume(t *testing.T) {
 		t.Fatalf("deaths=%d redelivered=%d, want 0/0 (the session never expired)",
 			got["deaths"], got["redelivered"])
 	}
+	execs.once(t, units)
 }
 
 // TestFabricCoordinatorRestartRecovery kills the coordinator mid-campaign
 // (no shutdown frames — links are severed first, like a SIGKILL behind a
 // partition) and restarts it with -resume semantics: the journal replays
-// finished units, the sidecar replays the session table, the executor
-// re-attaches to its recovered session, and the merged journal is
-// byte-identical to a clean single-pass run.
+// finished units, the executor re-attaches with its session token and the
+// units it holds, the new coordinator adopts that session, and the merged
+// journal is byte-identical to a clean single-pass run, with every unit
+// executed once.
 func TestFabricCoordinatorRestartRecovery(t *testing.T) {
 	const units = 80
 	const fp = uint64(0xc0ffee)
@@ -203,15 +254,8 @@ func TestFabricCoordinatorRestartRecovery(t *testing.T) {
 	if err := j.Bind(fp); err != nil {
 		t.Fatal(err)
 	}
-	side, err := journal.CreateSide(jpath + ".fabric")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := side.Bind(fp); err != nil {
-		t.Fatal(err)
-	}
 
-	newCoord := func(side *journal.SideLog, m *Metrics) *Coordinator {
+	newCoord := func(m *Metrics) *Coordinator {
 		t.Helper()
 		coord, err := NewCoordinator(CoordinatorOptions{
 			Addr:              "127.0.0.1:0",
@@ -222,7 +266,6 @@ func TestFabricCoordinatorRestartRecovery(t *testing.T) {
 			HeartbeatTimeout:  2 * time.Second,
 			SessionTimeout:    10 * time.Second,
 			Quarantine:        journal.Outcome{Mode: 9},
-			Side:              side,
 			Metrics:           m,
 			Log:               t.Logf,
 		})
@@ -232,7 +275,7 @@ func TestFabricCoordinatorRestartRecovery(t *testing.T) {
 		return coord
 	}
 
-	coord1 := newCoord(side, nil)
+	coord1 := newCoord(nil)
 	rl := newRelay(t, coord1.Addr().String())
 
 	// Delivery accounting spans both coordinator incarnations: every unit
@@ -242,11 +285,12 @@ func TestFabricCoordinatorRestartRecovery(t *testing.T) {
 
 	execCtx, execCancel := context.WithCancel(context.Background())
 	defer execCancel()
+	var execs execCounts
 	joinErr := make(chan error, 1)
 	go func() {
 		joinErr <- Join(execCtx, rl.addr(), ExecutorOptions{
 			Name:            "survivor",
-			Batch:           inProcFactory(fakeFactory(units, 3*time.Millisecond), 1),
+			Batch:           inProcFactory(execs.factory(fakeFactory(units, 3*time.Millisecond)), 1),
 			ReconnectWindow: 20 * time.Second,
 		})
 	}()
@@ -279,13 +323,10 @@ func TestFabricCoordinatorRestartRecovery(t *testing.T) {
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := side.Close(); err != nil {
-		t.Fatal(err)
-	}
 
-	// Phase 2: restart. Reopen journal and sidecar exactly as the CLI's
-	// -resume path does, rebuild the remaining index set, retarget the
-	// "advertised address" at the new coordinator.
+	// Phase 2: restart. Reopen the journal exactly as the CLI's -resume path
+	// does, rebuild the remaining index set, retarget the "advertised
+	// address" at the new coordinator.
 	j2, err := journal.Open(jpath)
 	if err != nil {
 		t.Fatal(err)
@@ -295,16 +336,6 @@ func TestFabricCoordinatorRestartRecovery(t *testing.T) {
 	}
 	if !j2.Resumed() {
 		t.Fatal("journal did not resume")
-	}
-	side2, err := journal.OpenSide(jpath + ".fabric")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := side2.Bind(fp); err != nil {
-		t.Fatal(err)
-	}
-	if !side2.Resumed() {
-		t.Fatal("sidecar did not resume")
 	}
 	var remaining []int
 	for u := 0; u < units; u++ {
@@ -318,7 +349,7 @@ func TestFabricCoordinatorRestartRecovery(t *testing.T) {
 
 	reg := telemetry.NewRegistry()
 	m := &Metrics{Resumed: reg.Counter("resumed"), HostDeaths: reg.Counter("deaths")}
-	coord2 := newCoord(side2, m)
+	coord2 := newCoord(m)
 	rl.setTarget(coord2.Addr().String())
 
 	err = coord2.Run(context.Background(), remaining, func(r worker.Result) error {
@@ -339,9 +370,6 @@ func TestFabricCoordinatorRestartRecovery(t *testing.T) {
 	if err := j2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := side2.Remove(); err != nil {
-		t.Fatal(err)
-	}
 
 	mu.Lock()
 	defer mu.Unlock()
@@ -351,7 +379,7 @@ func TestFabricCoordinatorRestartRecovery(t *testing.T) {
 		}
 	}
 	if reg.Counters()["resumed"] < 1 {
-		t.Fatal("the executor never re-attached to its recovered session")
+		t.Fatal("the restarted coordinator never adopted the executor's session")
 	}
 	if reg.Counters()["deaths"] != 0 {
 		t.Fatalf("deaths=%d, want 0 (the session survived the restart)", reg.Counters()["deaths"])
@@ -368,8 +396,81 @@ func TestFabricCoordinatorRestartRecovery(t *testing.T) {
 	if !bytes.Equal(gotBytes, wantBytes) {
 		t.Fatalf("journal after crash recovery differs from clean run (%d vs %d bytes)", len(gotBytes), len(wantBytes))
 	}
-	if _, err := os.Stat(jpath + ".fabric"); !os.IsNotExist(err) {
-		t.Fatalf("sidecar not removed after success (err=%v)", err)
+	execs.once(t, units)
+}
+
+// stuckBatch is a BatchRunner that never answers: it reports each batch on
+// started and holds it until the executor goes away.
+type stuckBatch struct {
+	units   int
+	started chan<- struct{}
+}
+
+func (b stuckBatch) Units() int { return b.units }
+
+func (b stuckBatch) RunBatch(ctx context.Context, _ []int, _ func(int) bool, _ func(int, journal.Outcome, []byte) error) error {
+	b.started <- struct{}{}
+	<-ctx.Done()
+	return ctx.Err()
+}
+
+// TestFabricExpiryQuarantineError: executors holding the campaign's only
+// unit vanish one after another until the unit has gone down with
+// maxHostDeaths hosts. The quarantine is raised on the heartbeat path,
+// where the last session expires, and onResult refuses it: Run must return
+// that error, not nil, although the quarantine finished the campaign.
+func TestFabricExpiryQuarantineError(t *testing.T) {
+	const units = 1
+	coord, err := NewCoordinator(CoordinatorOptions{
+		Addr:              "127.0.0.1:0",
+		MinHosts:          1,
+		Spec:              testSpec(),
+		Units:             units,
+		HeartbeatInterval: 20 * time.Millisecond,
+		HeartbeatTimeout:  2 * time.Second,
+		SessionTimeout:    100 * time.Millisecond,
+		Quarantine:        journal.Outcome{Mode: 9},
+		Log:               t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	started := make(chan struct{}, maxHostDeaths)
+	hostsDone := make(chan struct{})
+	go func() {
+		defer close(hostsDone)
+		for i := 0; i < maxHostDeaths; i++ {
+			ctx, cancel := context.WithCancel(context.Background())
+			joined := make(chan error, 1)
+			go func() {
+				joined <- Join(ctx, coord.Addr().String(), ExecutorOptions{
+					Name:  fmt.Sprintf("doomed-%d", i),
+					Batch: func(worker.Spec) (BatchRunner, error) { return stuckBatch{units, started}, nil },
+				})
+			}()
+			select {
+			case <-started: // the unit reached this host; now it vanishes
+			case err := <-joined:
+				t.Errorf("executor %d left before its batch started: %v", i, err)
+			}
+			cancel()
+			<-joined
+		}
+	}()
+
+	refused := errors.New("journal refused the quarantine")
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	err = coord.Run(ctx, seqIndices(units), func(r worker.Result) error {
+		if !r.Quarantined {
+			t.Errorf("unit %d delivered a verdict from a runner that never answers", r.Index)
+			return nil
+		}
+		return refused
+	})
+	<-hostsDone
+	if !errors.Is(err, refused) {
+		t.Fatalf("Run returned %v, want the onResult error %v", err, refused)
 	}
 }
 

@@ -314,52 +314,3 @@ func TestJournalUnderChaosENOSPC(t *testing.T) {
 	}
 	j.Close()
 }
-
-// TestSideLogDegradeContract: the sidecar's first write failure is reported
-// (crash recovery just became partial — the coordinator should say so),
-// every later append is a silent no-op, and the persisted prefix replays.
-func TestSideLogDegradeContract(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "campaign.wal.fabric")
-	var fail, failSync bool
-	s, err := journal.CreateSideWrapped(path, flakyWrap(&fail, &failSync))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Bind(3); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Append(1, []byte("assign 0..8 host-a")); err != nil {
-		t.Fatal(err)
-	}
-	fail = true
-	if err := s.Append(2, []byte("steal 4..8 host-b")); err == nil {
-		t.Fatal("first sidecar write failure was swallowed; the coordinator cannot warn")
-	}
-	if !s.Degraded() {
-		t.Fatal("write failure did not degrade the sidecar")
-	}
-	if err := s.Append(3, []byte("session token refresh")); err != nil {
-		t.Fatalf("append on a degraded sidecar surfaced %v; it must be a silent no-op", err)
-	}
-	if err := s.Sync(); err != nil {
-		t.Fatalf("Sync on a degraded sidecar surfaced %v", err)
-	}
-	s.Close()
-
-	re, err := journal.OpenSide(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
-	if err := re.Bind(3); err != nil {
-		t.Fatal(err)
-	}
-	var got []journal.SideRecord
-	re.Replay(func(r journal.SideRecord) error {
-		got = append(got, r)
-		return nil
-	})
-	if len(got) != 1 || got[0].Kind != 1 || string(got[0].Payload) != "assign 0..8 host-a" {
-		t.Fatalf("degraded sidecar replays %+v, want the one record persisted before the failure", got)
-	}
-}

@@ -64,7 +64,7 @@ func FuzzJournalOpen(f *testing.F) {
 	f.Add(real[:12])                                                         // torn header
 	f.Add([]byte{})                                                          // empty file
 	f.Add([]byte("SWFJ"))                                                    // magic alone
-	f.Add([]byte("SWFS\x01\x00\x00\x00"))                                    // sidecar magic in a journal slot
+	f.Add([]byte("SWFS\x01\x00\x00\x00"))                                    // a foreign magic in a journal slot
 	flipped := append([]byte(nil), real...)
 	flipped[len(flipped)-3] ^= 0x40 // corrupt last record's CRC region
 	f.Add(flipped)
@@ -99,66 +99,5 @@ func FuzzJournalOpen(f *testing.F) {
 				t.Fatalf("loader kept %d bytes but replayed %d records", fi.Size(), n)
 			}
 		}
-	})
-}
-
-// FuzzSideLogOpen does the same for the sidecar's variable-length records,
-// whose length prefix gives corruption a second lever (a huge or torn
-// length) the fixed-size journal records do not have.
-func FuzzSideLogOpen(f *testing.F) {
-	side := func(payloads ...string) []byte {
-		dir, err := os.MkdirTemp("", "fuzzside")
-		if err != nil {
-			f.Fatal(err)
-		}
-		defer os.RemoveAll(dir)
-		path := filepath.Join(dir, "seed.fabric")
-		s, err := journal.CreateSide(path)
-		if err != nil {
-			f.Fatal(err)
-		}
-		if err := s.Bind(0xc0ffee); err != nil {
-			f.Fatal(err)
-		}
-		for i, p := range payloads {
-			if err := s.Append(uint8(i+1), []byte(p)); err != nil {
-				f.Fatal(err)
-			}
-		}
-		if err := s.Close(); err != nil {
-			f.Fatal(err)
-		}
-		b, err := os.ReadFile(path)
-		if err != nil {
-			f.Fatal(err)
-		}
-		return b
-	}
-	real := side("assign 0..16", "steal 8..16", "")
-	f.Add(real)
-	f.Add(side())
-	f.Add(real[:len(real)-3]) // torn checksum
-	huge := append([]byte(nil), real...)
-	huge[20+1] = 0xff // blow up the first record's length prefix
-	huge[20+4] = 0xff
-	f.Add(huge)
-	f.Add([]byte("SWFS"))
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		path := filepath.Join(t.TempDir(), "fuzz.fabric")
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		s, err := journal.OpenSide(path)
-		if err != nil {
-			return
-		}
-		defer s.Close()
-		s.Replay(func(r journal.SideRecord) error {
-			if len(r.Payload) > journal.MaxSideRecord {
-				t.Fatalf("replayed a %d-byte record past the %d-byte bound", len(r.Payload), journal.MaxSideRecord)
-			}
-			return nil
-		})
 	})
 }

@@ -26,13 +26,12 @@ const (
 	KindBreaker    = "breaker_open"   // the worker restart circuit breaker tripped
 
 	// Fabric kinds, emitted by the distributed-campaign coordinator.
-	KindHostJoined     = "host_joined"     // an executor host completed the fabric handshake
-	KindHostLost       = "host_lost"       // an executor host died; its units were redelivered
-	KindSteal          = "steal"           // an idle host stole half a straggler's range
-	KindRangeAssigned  = "range_assign"    // a unit range was shipped to an executor host
-	KindHostDetached   = "host_detached"   // an executor connection dropped; session held for re-attach
-	KindHostResumed    = "host_resumed"    // an executor re-attached to its surviving session
-	KindCoordRecovered = "coord_recovered" // a restarted coordinator rebuilt state from the sidecar log
+	KindHostJoined    = "host_joined"   // an executor host completed the fabric handshake
+	KindHostLost      = "host_lost"     // an executor host died; its units were redelivered
+	KindSteal         = "steal"         // an idle host stole half a straggler's range
+	KindRangeAssigned = "range_assign"  // a unit range was shipped to an executor host
+	KindHostDetached  = "host_detached" // an executor connection dropped; session held for re-attach
+	KindHostResumed   = "host_resumed"  // an executor re-attached to its session, or a restarted coordinator adopted it
 )
 
 // Event is one structured trace event. Zero-valued fields are omitted from

@@ -19,7 +19,7 @@
 // ProtocolVersion serve both transports; the fabric adds its own messages
 // (assign, revoke, welcome, ack, telemetry, trace) from MsgFabric on.
 //
-// The wire protocol, version 3 (all integers little-endian):
+// The wire protocol, version 4 (all integers little-endian):
 //
 //	frame    length u32 | type u8 | payload | crc32 u32
 //	         (length counts type+payload+crc; crc32 is IEEE over type+payload)
@@ -27,7 +27,7 @@
 //	hello    version u16 | heartbeat-ms u32 | deadline-ms u32 | mem-quota u64 |
 //	         fingerprint u64 | kind-len u16 | kind | spec-len u32 | spec
 //	ready    version u16 | fingerprint u64 | units u32 | workers u32 |
-//	         token u64 | name-len u16 | name
+//	         token u64 | name-len u16 | name | claimed-len u32 | claimed
 //	exec     unit u32                                          (pipes only)
 //	verdict  seq u32 | unit u32 | mode u8 | flags u8 | last u8 |
 //	         payload-len u32 | payload
@@ -44,8 +44,9 @@
 // in every protocol version, so a decoder reads a foreign peer's version
 // before a layout it cannot parse. Fields one transport has no use for
 // travel as zeros and are ignored: workers ignore the deadline, executors
-// the memory quota; the supervisor ignores ready's workers, token and name
-// and a verdict's seq; the coordinator ignores a verdict's last flag.
+// the memory quota; the supervisor ignores ready's workers, token, name and
+// claimed units and a verdict's seq; the coordinator ignores a verdict's
+// last flag. A pipe worker's claim is empty.
 // Verdict mode/flags use the journal.Outcome wire encoding, so a verdict
 // appends to a campaign journal byte-for-byte. A pipe verdict with last set
 // is the worker's final answer (it recycles itself — e.g. its RSS crossed
@@ -80,7 +81,7 @@ const (
 	// ProtocolVersion is the frame-format version sent in hello and echoed
 	// in ready, so a mixed-build pair on either transport fails the
 	// handshake instead of mis-parsing frames.
-	ProtocolVersion = 3
+	ProtocolVersion = 4
 
 	// MaxFrame bounds any frame's length prefix. A frame claiming more is
 	// garbage (a worker writing junk to stdout, a supervisor reading from
@@ -130,9 +131,12 @@ type Hello struct {
 	Spec              Spec
 }
 
-// Ready is the handshake answer. Workers, Token and Name are the fabric's:
-// an executor's parallelism, its session token (zero on a first join, the
-// welcome-issued token when re-attaching) and its host name.
+// Ready is the handshake answer. Workers, Token, Name and Claimed are the
+// fabric's: an executor's parallelism, its session token (zero on a first
+// join, the welcome-issued token when re-attaching), its host name, and the
+// units it holds that the coordinator has not acknowledged, as an
+// assign-style run-set (internal/fabric) that a restarted coordinator
+// adopts.
 type Ready struct {
 	Version     uint16
 	Fingerprint uint64
@@ -140,6 +144,7 @@ type Ready struct {
 	Workers     uint32
 	Token       uint64
 	Name        string
+	Claimed     []byte
 }
 
 // Verdict is one completed unit. Seq is the fabric's per-session sequence
@@ -294,7 +299,7 @@ func DecodeHello(b []byte) (Hello, error) {
 // EncodeReady lays out a ready frame's payload.
 func EncodeReady(r Ready) []byte {
 	name := []byte(r.Name)
-	buf := make([]byte, 0, 28+len(name))
+	buf := make([]byte, 0, 32+len(name)+len(r.Claimed))
 	buf = binary.LittleEndian.AppendUint16(buf, r.Version)
 	buf = binary.LittleEndian.AppendUint64(buf, r.Fingerprint)
 	buf = binary.LittleEndian.AppendUint32(buf, r.Units)
@@ -302,7 +307,8 @@ func EncodeReady(r Ready) []byte {
 	buf = binary.LittleEndian.AppendUint64(buf, r.Token)
 	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(name)))
 	buf = append(buf, name...)
-	return buf
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(r.Claimed)))
+	return append(buf, r.Claimed...)
 }
 
 // DecodeReady parses a ready frame's payload. A ready of another protocol
@@ -321,17 +327,26 @@ func DecodeReady(b []byte) (Ready, error) {
 	r.Workers = binary.LittleEndian.Uint32(b[14:18])
 	r.Token = binary.LittleEndian.Uint64(b[18:26])
 	nn := int(binary.LittleEndian.Uint16(b[26:28]))
-	if len(b)-28 != nn {
-		return r, fmt.Errorf("worker: ready name length %d, frame holds %d", nn, len(b)-28)
+	b = b[28:]
+	if len(b) < nn+4 {
+		return r, fmt.Errorf("worker: ready frame truncated in name")
 	}
-	r.Name = string(b[28:])
+	r.Name = string(b[:nn])
+	cn := int(binary.LittleEndian.Uint32(b[nn : nn+4]))
+	b = b[nn+4:]
+	if len(b) != cn {
+		return r, fmt.Errorf("worker: ready claim length %d, frame holds %d", cn, len(b))
+	}
+	if cn > 0 {
+		r.Claimed = b
+	}
 	return r, nil
 }
 
 // peerVersion reads the version that leads every hello and ready payload
 // and reports whether it is this build's. The rest of a foreign version's
 // layout is not this build's to parse, so its decoders stop at the version
-// and leave the diagnosis to CheckPeer: "speaks protocol version 4", not a
+// and leave the diagnosis to CheckPeer: "speaks protocol version 5", not a
 // length error.
 func peerVersion(b []byte) (uint16, bool) {
 	if len(b) < 2 {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"io"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -48,12 +49,14 @@ func TestReadyRoundTrip(t *testing.T) {
 	for _, in := range []Ready{
 		{Version: ProtocolVersion, Fingerprint: 0x0123456789abcdef, Units: 991},
 		{Version: ProtocolVersion, Fingerprint: 0x0123456789abcdef, Units: 991, Workers: 8, Token: 0xfeedface, Name: "host-b"},
+		{Version: ProtocolVersion, Fingerprint: 0x0123456789abcdef, Units: 991, Workers: 8, Token: 0xfeedface, Name: "host-b",
+			Claimed: []byte{1, 0, 0, 0, 3, 0, 0, 0, 2, 0, 0, 0}},
 	} {
 		out, err := DecodeReady(EncodeReady(in))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if out != in {
+		if !reflect.DeepEqual(out, in) {
 			t.Fatalf("round trip mismatch: %+v != %+v", out, in)
 		}
 		full := EncodeReady(in)

@@ -5,9 +5,9 @@
 #      every link keeps falling into multi-second asymmetric partitions
 #      that heal mid-campaign (internal/fabric/soak_test.go, gated behind
 #      SWIFI_SOAK=1). SWIFI_SOAK_FOR overrides the 2-minute default.
-#   2. The journal fuzzers: arbitrary bytes against the journal and
-#      sidecar loaders, seeded from real journal files. SWIFI_FUZZ_FOR
-#      overrides the per-target budget.
+#   2. The journal fuzzer: arbitrary bytes against the journal loader,
+#      seeded from real journal files. SWIFI_FUZZ_FOR overrides the
+#      budget.
 #   3. The storage smoke: ENOSPC + SIGKILL + resume + pipe chaos through
 #      the real binary (scripts/disk_chaos_smoke.sh).
 #
@@ -19,8 +19,6 @@ SWIFI_SOAK=1 SWIFI_SOAK_FOR="${SWIFI_SOAK_FOR:-2m}" \
   go test ./internal/fabric/ -run 'TestFabricPartitionHealSoak' -v -timeout 30m
 
 go test ./internal/journal/ -run=NONE -fuzz 'FuzzJournalOpen' \
-  -fuzztime "${SWIFI_FUZZ_FOR:-60s}" -timeout 30m
-go test ./internal/journal/ -run=NONE -fuzz 'FuzzSideLogOpen' \
   -fuzztime "${SWIFI_FUZZ_FOR:-60s}" -timeout 30m
 
 scripts/disk_chaos_smoke.sh
