@@ -208,7 +208,7 @@ func (b *fabricBatchRunner) RunBatch(ctx context.Context, batch []int, skip func
 // done-set, as in every topology, and re-attaching executors claim the
 // units they still hold.
 func executeUnitsFabric(cfg *Config, o execOpts, units []runUnit, fp uint64) ([]unitOutcome, []telemetry.HostStats, error) {
-	var fleet *fabric.FleetTracker
+	var coord *fabric.Coordinator
 	out, err := dispatch(o, units, "went down with its executor host on every delivery; quarantined by the coordinator",
 		func(ctx context.Context, todo []int, deliver func(worker.Result) error) error {
 			spec, err := procSpecFromConfig(cfg, fp)
@@ -216,16 +216,8 @@ func executeUnitsFabric(cfg *Config, o execOpts, units []runUnit, fp uint64) ([]
 				return err
 			}
 			fo := cfg.Fabric
-			// The fleet tracker mirrors the coordinator's session table for
-			// the /fleet endpoint, the TTY note and the report's hosts
-			// section. Its total is the distributed portion only (replayed
-			// units never cross the wire). SetFleetSource late-binds it to a
-			// -debug-addr server that started before planning.
 			reg := cfg.Telemetry.Registry()
-			fleet = fabric.NewFleetTracker(len(todo), reg)
-			telemetry.SetFleetSource(fleet.Source())
-			defer telemetry.SetFleetSource(nil)
-			coord, err := fabric.NewCoordinator(fabric.CoordinatorOptions{
+			coord, err = fabric.NewCoordinator(fabric.CoordinatorOptions{
 				Addr:              fo.Listen,
 				MinHosts:          fo.MinHosts,
 				Spec:              spec,
@@ -238,7 +230,6 @@ func executeUnitsFabric(cfg *Config, o execOpts, units []runUnit, fp uint64) ([]
 				Metrics:           fabric.NewMetrics(reg),
 				Tracer:            o.tracer,
 				Registry:          reg,
-				Fleet:             fleet,
 				Log: func(format string, args ...any) {
 					fmt.Fprintf(os.Stderr, "campaign: "+format+"\n", args...)
 				},
@@ -246,13 +237,18 @@ func executeUnitsFabric(cfg *Config, o execOpts, units []runUnit, fp uint64) ([]
 			if err != nil {
 				return err
 			}
+			// The coordinator's session roster feeds the /fleet endpoint;
+			// SetFleetSource late-binds it to a -debug-addr server that
+			// started before planning.
+			telemetry.SetFleetSource(func() any { return coord.Fleet() })
+			defer telemetry.SetFleetSource(nil)
 			// deliver runs on the coordinator's event-loop goroutine.
 			return coord.Run(ctx, todo, deliver)
 		})
-	if out == nil || fleet == nil {
+	if out == nil || coord == nil {
 		return out, nil, err
 	}
-	return out, fleet.HostStats(), err
+	return out, coord.Hosts(), err
 }
 
 // chaosWrap builds the fabric connection wrapper for a chaos config; nil or

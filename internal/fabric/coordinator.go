@@ -7,7 +7,9 @@ import (
 	"io"
 	"math/rand/v2"
 	"net"
+	"slices"
 	"sort"
+	"sync"
 	"time"
 
 	"repro/internal/journal"
@@ -41,10 +43,6 @@ type Metrics struct {
 	// BadFrames counts connections severed by a frame checksum mismatch —
 	// the poisoned-frame rejection path.
 	BadFrames *telemetry.Counter
-	// HostUnits, when non-nil, returns the per-host completed-unit counter
-	// for an executor name (the per-host gauge plane of the live progress
-	// story).
-	HostUnits func(host string) *telemetry.Counter
 }
 
 // CoordinatorOptions configures one campaign's coordinator.
@@ -99,13 +97,10 @@ type CoordinatorOptions struct {
 	// Registry, when non-nil, receives the federated executor metrics:
 	// every series in an ingested telemetry frame is republished here as a
 	// gauge under a host label (the /metrics `host` plane). Nil drops the
-	// metric half of federation; frames are still consumed.
+	// metric half of federation; frames are still consumed. With Metrics
+	// set, each session's fabric_host_units_total{host=…} counter of merged
+	// verdicts registers here too.
 	Registry *telemetry.Registry
-
-	// Fleet, when non-nil, is kept current with per-host scheduling and
-	// federation state — the live view behind /fleet and the report's
-	// hosts section.
-	Fleet *FleetTracker
 
 	// Log, when non-nil, receives one line per fabric event (join, loss,
 	// steal, quarantine).
@@ -138,10 +133,12 @@ func (o *CoordinatorOptions) logf(format string, args ...any) {
 }
 
 // Coordinator owns the listening socket and the scheduling policy of one
-// campaign. Create with NewCoordinator, drive with Run.
+// campaign. Create with NewCoordinator, drive with Run; Fleet and Hosts read
+// its session roster from any goroutine.
 type Coordinator struct {
 	opts CoordinatorOptions
 	ln   net.Listener
+	run  *coordRun
 }
 
 // NewCoordinator validates the options and binds the listen socket, so the
@@ -155,7 +152,17 @@ func NewCoordinator(opts CoordinatorOptions) (*Coordinator, error) {
 	if err != nil {
 		return nil, fmt.Errorf("fabric: %w", err)
 	}
-	return &Coordinator{opts: opts, ln: ln}, nil
+	c := &Coordinator{opts: opts, ln: ln}
+	c.run = &coordRun{
+		opts:     &c.opts,
+		events:   make(chan event, 64),
+		stop:     make(chan struct{}),
+		sessions: make(map[uint64]*session),
+		owner:    make(map[int]*session),
+		done:     make(map[int]bool),
+		deaths:   make(map[int]int),
+	}
+	return c, nil
 }
 
 // Addr returns the bound listen address (useful with ":0").
@@ -192,13 +199,15 @@ func (x *executorConn) send(typ uint8, payload []byte) error {
 	return worker.WriteFrameCRC(x.conn, typ, payload)
 }
 
-// session is one executor's scheduling identity, stable across reconnects.
-// All fields are owned by the event loop.
+// session is one executor's scheduling identity, stable across reconnects,
+// and its row in the fleet view. All fields are owned by the event loop.
 type session struct {
+	// HostStats is the row the report and /fleet render: the session's
+	// unique name, worker count, merged verdicts, the federated executed
+	// counter and clock offset, reconnects, and whether it expired.
+	telemetry.HostStats
 	token      uint64
-	id         int // registration order; ties deterministic iteration
-	name       string
-	workers    int
+	id         int             // registration order; ties deterministic iteration
 	conn       *executorConn   // nil while detached
 	seq        uint32          // cumulative ack watermark: every seq <= this was processed
 	seen       map[uint32]bool // processed seqs above the watermark (gaps from dropped writes)
@@ -206,17 +215,21 @@ type session struct {
 	detachedAt time.Time       // when the connection was lost; zero if attached
 	progressAt time.Time       // last verdict processed (stall detection)
 	nudgedAt   time.Time       // last stall re-assign, so nudges don't repeat every beat
+	joined     time.Time       // session creation, the fleet view's throughput baseline
+	lastSeen   time.Time       // last frame received (the fleet view's heartbeat lag)
 	done       *telemetry.Counter
 }
 
-// coordRun is the state of one Run call, touched only by the loop
-// goroutine.
+// coordRun is the state of a coordinator's Run call. The loop goroutine
+// owns it and holds mu while it handles one event or one beat, so Fleet and
+// Hosts read a consistent roster from other goroutines.
 type coordRun struct {
+	mu       sync.Mutex
 	opts     *CoordinatorOptions
 	events   chan event
-	stop     chan struct{} // closed on loop exit; unblocks reader sends
-	sessions map[uint64]*session
-	nextID   int
+	stop     chan struct{}       // closed on loop exit; unblocks reader sends
+	sessions map[uint64]*session // live sessions by token
+	roster   []*session          // every session ever registered, in id order; expired ones stay
 	started  bool
 	pending  []int // sorted unit indices awaiting an owner
 	owner    map[int]*session
@@ -233,7 +246,8 @@ type coordRun struct {
 // concurrently). It returns nil when every index has a verdict or a
 // quarantine, ctx.Err() on cancellation (some indices then have no result),
 // the first error returned by onResult, or a fatal executor error. The
-// listener is closed on return.
+// listener is closed on return. onResult runs while the loop holds the
+// roster mutex, so it must not call Fleet or Hosts.
 //
 // Units of the plan outside indices are treated as already journaled: a
 // late duplicate verdict for one (an executor retransmitting across a
@@ -244,22 +258,11 @@ func (c *Coordinator) Run(ctx context.Context, indices []int, onResult func(work
 	if len(indices) == 0 {
 		return nil
 	}
-	pending := append([]int(nil), indices...)
-	sort.Ints(pending)
-	r := &coordRun{
-		opts:     &c.opts,
-		events:   make(chan event, 64),
-		stop:     make(chan struct{}),
-		sessions: make(map[uint64]*session),
-		pending:  pending,
-		owner:    make(map[int]*session),
-		done:     make(map[int]bool),
-		deaths:   make(map[int]int),
-		total:    len(indices),
-		onRes:    onResult,
-	}
-	defer close(r.stop)
-
+	r := c.run
+	r.mu.Lock()
+	r.pending = append([]int(nil), indices...)
+	sort.Ints(r.pending)
+	r.total, r.onRes = len(indices), onResult
 	// Units already journaled are "done" from the first instant, so a
 	// duplicate verdict retransmitted across a coordinator restart is
 	// dropped exactly like a steal-race duplicate.
@@ -272,6 +275,8 @@ func (c *Coordinator) Run(ctx context.Context, indices []int, onResult func(work
 			r.done[u] = true
 		}
 	}
+	r.mu.Unlock()
+	defer close(r.stop)
 
 	// Accept loop: handshakes happen off the event loop (planning inside
 	// the executor can take seconds), completed executors are handed in.
@@ -296,36 +301,54 @@ func (c *Coordinator) Run(ctx context.Context, indices []int, onResult func(work
 	for r.doneN < r.total {
 		select {
 		case <-ctx.Done():
-			r.shutdownAll()
+			r.locked(r.shutdownAll)
 			return ctx.Err()
 		case <-beat.C:
-			for _, s := range r.attached() {
-				if err := s.conn.send(worker.MsgHeartbeat, nil); err != nil {
-					r.detach(s.conn, fmt.Errorf("heartbeat write: %w", err))
-					continue
-				}
-				r.nudge(s)
-			}
-			r.expireDetached()
+			r.locked(r.beat)
 		case ev := <-r.events:
-			switch {
-			case ev.join:
-				r.register(ev.x, ev.rd, ev.claimed)
-			case ev.err != nil:
-				r.detach(ev.x, ev.err)
-			default:
-				r.frame(ev.x, ev.typ, ev.payload)
-			}
+			r.locked(func() { r.handle(ev) })
 		}
 		// Whichever path raised it — a verdict, or a quarantine when a
 		// session expires on the beat — a fatal error ends the run.
 		if r.fatal != nil {
-			r.shutdownAll()
+			r.locked(r.shutdownAll)
 			return r.fatal
 		}
 	}
 	r.linger()
 	return nil
+}
+
+// locked runs fn under the run's mutex: one event or one beat at a time.
+func (r *coordRun) locked(fn func()) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	fn()
+}
+
+// beat heartbeats every attached executor, nudges stalled sessions and
+// expires the ones whose grace window closed.
+func (r *coordRun) beat() {
+	for _, s := range r.attached() {
+		if err := s.conn.send(worker.MsgHeartbeat, nil); err != nil {
+			r.detach(s.conn, fmt.Errorf("heartbeat write: %w", err))
+			continue
+		}
+		r.nudge(s)
+	}
+	r.expireDetached()
+}
+
+// handle dispatches one event from the accept and read goroutines.
+func (r *coordRun) handle(ev event) {
+	switch {
+	case ev.join:
+		r.register(ev.x, ev.rd, ev.claimed)
+	case ev.err != nil:
+		r.detach(ev.x, ev.err)
+	default:
+		r.frame(ev.x, ev.typ, ev.payload)
+	}
 }
 
 // linger is the campaign's goodbye phase: the listener and event loop stay
@@ -335,16 +358,16 @@ func (c *Coordinator) Run(ctx context.Context, indices []int, onResult func(work
 // beat), corrupted (the executor severs and redials — the handshake is
 // answered with shutdown instead of welcome), or the executor may be
 // mid-reconnect when the campaign ends. A session is released — removed
-// from the table — when its executor closes the connection, which it only
-// does once the shutdown was received; the loop exits when every session is
-// released or the window closes.
+// from the token index, detached in the roster — when its executor closes
+// the connection, which it only does once the shutdown was received; the
+// loop exits when every session is released or the window closes.
 func (r *coordRun) linger() {
 	goodbye := func() {
 		for _, s := range r.attached() {
 			_ = s.conn.send(worker.MsgShutdown, nil)
 		}
 	}
-	goodbye()
+	r.locked(goodbye)
 	deadline := time.NewTimer(r.opts.HeartbeatTimeout)
 	defer deadline.Stop()
 	beat := time.NewTicker(r.opts.HeartbeatInterval)
@@ -352,47 +375,51 @@ func (r *coordRun) linger() {
 	for len(r.sessions) > 0 {
 		select {
 		case <-deadline.C:
-			r.shutdownAll()
+			r.locked(r.shutdownAll)
 			return
 		case <-beat.C:
-			goodbye()
+			r.locked(goodbye)
 		case ev := <-r.events:
-			switch {
-			case ev.join:
-				// A reconnecting (or stray) executor only needs the goodbye.
-				// Its session, if any, is released when it closes the conn.
-				if s, ok := r.sessions[ev.rd.Token]; ok {
-					if s.conn != nil {
-						s.conn.sess = nil
-						s.conn.conn.Close()
-					}
-					s.conn = ev.x
-					ev.x.sess = s
-				}
-				_ = ev.x.send(worker.MsgShutdown, nil)
-			case ev.err != nil:
-				s := ev.x.sess
-				ev.x.conn.Close()
-				if s != nil && s.conn == ev.x {
-					if errors.Is(ev.err, io.EOF) {
-						// A clean close between frames: the executor got the
-						// shutdown and hung up. Receipt confirmed.
-						delete(r.sessions, s.token)
-					} else {
-						// Severed mid-frame (chaos corruption, reset): the
-						// executor may not have seen the goodbye. Hold the
-						// session; its redial gets shutdown at the handshake.
-						s.conn = nil
-					}
-				}
-			default:
-				// Late frames: verdicts are spent duplicates; processing
-				// them re-acks so the executor's buffer drains.
-				r.frame(ev.x, ev.typ, ev.payload)
-			}
+			r.locked(func() { r.farewell(ev) })
 		}
 	}
-	r.shutdownAll() // nothing left attached; clears the hosts gauge
+	r.locked(r.shutdownAll) // nothing left attached; clears the hosts gauge
+}
+
+// farewell handles one event of the linger phase.
+func (r *coordRun) farewell(ev event) {
+	switch {
+	case ev.join:
+		// A reconnecting (or stray) executor only needs the goodbye.
+		// Its session, if any, is released when it closes the conn.
+		if s, ok := r.sessions[ev.rd.Token]; ok {
+			if s.conn != nil {
+				s.conn.sess = nil
+				s.conn.conn.Close()
+			}
+			s.conn = ev.x
+			ev.x.sess = s
+		}
+		_ = ev.x.send(worker.MsgShutdown, nil)
+	case ev.err != nil:
+		s := ev.x.sess
+		ev.x.conn.Close()
+		if s != nil && s.conn == ev.x {
+			s.conn = nil
+			// A clean close between frames: the executor got the shutdown
+			// and hung up. Receipt confirmed. Severed mid-frame (chaos
+			// corruption, reset), the executor may not have seen the
+			// goodbye: hold the session; its redial gets shutdown at the
+			// handshake.
+			if errors.Is(ev.err, io.EOF) {
+				delete(r.sessions, s.token)
+			}
+		}
+	default:
+		// Late frames: verdicts are spent duplicates; processing them
+		// re-acks so the executor's buffer drains.
+		r.frame(ev.x, ev.typ, ev.payload)
+	}
 }
 
 // nudge re-sends a session's outstanding ranges when it has owned units but
@@ -418,7 +445,7 @@ func (r *coordRun) nudge(s *session) {
 		return
 	}
 	r.opts.logf("fabric: %s made no progress for %v; re-sending %d outstanding unit(s)",
-		s.name, r.opts.HeartbeatTimeout, len(outstanding))
+		s.Name, r.opts.HeartbeatTimeout, len(outstanding))
 	if err := s.conn.send(msgAssign, encodeRuns(outstanding)); err != nil {
 		r.detach(s.conn, fmt.Errorf("assign write: %w", err))
 	}
@@ -552,13 +579,12 @@ func (c *Coordinator) noteBadFrame(err error) {
 // attached snapshots the attached sessions in id order, so scheduling
 // decisions are deterministic for a given event sequence.
 func (r *coordRun) attached() []*session {
-	ss := make([]*session, 0, len(r.sessions))
-	for _, s := range r.sessions {
+	ss := make([]*session, 0, len(r.roster))
+	for _, s := range r.roster {
 		if s.conn != nil {
 			ss = append(ss, s)
 		}
 	}
-	sort.Slice(ss, func(i, j int) bool { return ss[i].id < ss[j].id })
 	return ss
 }
 
@@ -583,22 +609,7 @@ func (r *coordRun) register(x *executorConn, rd worker.Ready, claimed []int) {
 	s := r.sessions[rd.Token]
 	switch {
 	case s == nil:
-		token := rd.Token
-		if token == 0 {
-			token = r.newToken()
-		}
-		s = &session{
-			token:   token,
-			id:      r.nextID,
-			name:    rd.Name,
-			workers: int(rd.Workers),
-			seen:    make(map[uint32]bool),
-		}
-		r.nextID++
-		r.sessions[token] = s
-		if m := r.opts.Metrics; m != nil && m.HostUnits != nil {
-			s.done = m.HostUnits(s.name)
-		}
+		s = r.newSession(rd)
 		if resumed {
 			r.adopt(s, claimed)
 		}
@@ -607,32 +618,34 @@ func (r *coordRun) register(x *executorConn, rd worker.Ready, claimed []int) {
 		// first). Drop it; its reader will surface a stale error we ignore.
 		s.conn.sess = nil
 		s.conn.conn.Close()
+		fallthrough
+	default:
+		s.Reconnects++
 	}
 	s.conn = x
 	s.detachedAt = time.Time{}
 	s.progressAt = time.Now()
+	s.lastSeen = s.progressAt
 	x.sess = s
 	if m := r.opts.Metrics; resumed && m != nil && m.Resumed != nil {
 		m.Resumed.Inc()
 	}
-	r.opts.Fleet.Joined(s.token, s.name, s.workers)
-	r.fleetAssigned(s)
 	r.hostsGauge()
 	if err := x.send(msgWelcome, encodeWelcome(welcome{Token: s.token, Resumed: resumed, Acked: s.seq})); err != nil {
 		r.detach(x, fmt.Errorf("welcome write: %w", err))
 		return
 	}
 	if !resumed {
-		r.opts.Tracer.Emit(telemetry.Event{Kind: telemetry.KindHostJoined, Detail: fmt.Sprintf("%s (%d workers)", s.name, s.workers)})
-		r.opts.logf("fabric: executor %s joined (%d workers; %d/%d hosts)", s.name, s.workers, len(r.attached()), r.opts.MinHosts)
+		r.opts.Tracer.Emit(telemetry.Event{Kind: telemetry.KindHostJoined, Detail: fmt.Sprintf("%s (%d workers)", s.Name, s.Workers)})
+		r.opts.logf("fabric: executor %s joined (%d workers; %d/%d hosts)", s.Name, s.Workers, len(r.attached()), r.opts.MinHosts)
 		r.schedule()
 		return
 	}
 	outstanding := r.outstanding(s)
 	r.opts.Tracer.Emit(telemetry.Event{Kind: telemetry.KindHostResumed,
-		Detail: fmt.Sprintf("%s (session %d, %d units outstanding)", s.name, s.token, len(outstanding))})
+		Detail: fmt.Sprintf("%s (session %d, %d units outstanding)", s.Name, s.token, len(outstanding))})
 	r.opts.logf("fabric: executor %s re-attached to session %d (%d units outstanding, acked seq %d)",
-		s.name, s.token, len(outstanding), s.seq)
+		s.Name, s.token, len(outstanding), s.seq)
 	if len(outstanding) > 0 {
 		if err := x.send(msgAssign, encodeRuns(outstanding)); err != nil {
 			r.detach(x, fmt.Errorf("assign write: %w", err))
@@ -640,6 +653,35 @@ func (r *coordRun) register(x *executorConn, rd worker.Ready, claimed []int) {
 		}
 	}
 	r.schedule()
+}
+
+// newSession opens a session for a ready frame whose token this coordinator
+// does not know (zero draws a fresh token) and appends it to the roster.
+// Executors on one machine all default to its hostname, and every per-host
+// series, trace stamp and log line is keyed by the name, so a name another
+// roster row already uses gets the session id appended.
+func (r *coordRun) newSession(rd worker.Ready) *session {
+	token := rd.Token
+	if token == 0 {
+		token = r.newToken()
+	}
+	s := &session{
+		token:  token,
+		id:     len(r.roster),
+		seen:   make(map[uint32]bool),
+		joined: time.Now(),
+	}
+	name := rd.Name
+	for slices.ContainsFunc(r.roster, func(o *session) bool { return o.Name == name }) {
+		name = fmt.Sprintf("%s#%d", name, s.id)
+	}
+	s.Name, s.Workers = name, int(rd.Workers)
+	r.sessions[token] = s
+	r.roster = append(r.roster, s)
+	if r.opts.Metrics != nil {
+		s.done = r.opts.Registry.Counter(fmt.Sprintf(`fabric_host_units_total{host=%q}`, s.Name))
+	}
+	return s
 }
 
 // adopt gives a session this coordinator did not know the units its
@@ -676,18 +718,17 @@ func (r *coordRun) adopt(s *session, claimed []int) {
 	}
 	sort.Slice(victims, func(i, j int) bool { return victims[i].id < victims[j].id })
 	for _, o := range victims {
-		r.opts.logf("fabric: %s reclaims %d units from %s", s.name, len(taken[o]), o.name)
+		r.opts.logf("fabric: %s reclaims %d units from %s", s.Name, len(taken[o]), o.Name)
 		r.revoke(o, taken[o])
 	}
 	r.opts.logf("fabric: adopted session %d of %s: %d of %d claimed units outstanding",
-		s.token, s.name, len(mine), len(claimed))
+		s.token, s.Name, len(mine), len(claimed))
 }
 
 // revoke tells a session's executor that units it was assigned now belong
 // to another session. A detached session cannot be told; its executor runs
 // them anyway and the merge drops the duplicate verdicts.
 func (r *coordRun) revoke(s *session, units []int) {
-	r.fleetAssigned(s)
 	if s.conn == nil {
 		return
 	}
@@ -718,12 +759,11 @@ func (r *coordRun) detach(x *executorConn, err error) {
 	}
 	s.conn = nil
 	s.detachedAt = time.Now()
-	r.opts.Fleet.Detached(s.token)
 	r.hostsGauge()
 	r.opts.Tracer.Emit(telemetry.Event{Kind: telemetry.KindHostDetached,
-		Detail: fmt.Sprintf("%s: %v (session %d; %v grace)", s.name, err, s.token, r.opts.SessionTimeout)})
+		Detail: fmt.Sprintf("%s: %v (session %d; %v grace)", s.Name, err, s.token, r.opts.SessionTimeout)})
 	r.opts.logf("fabric: lost connection to %s (%v); session %d has %v to re-attach",
-		s.name, err, s.token, r.opts.SessionTimeout)
+		s.Name, err, s.token, r.opts.SessionTimeout)
 }
 
 // expireDetached declares sessions dead once their grace window closes:
@@ -731,12 +771,11 @@ func (r *coordRun) detach(x *executorConn, err error) {
 // exhausted units are quarantined) and the fleet is rescheduled.
 func (r *coordRun) expireDetached() {
 	var expired []*session
-	for _, s := range r.sessions {
-		if s.conn == nil && time.Since(s.detachedAt) > r.opts.SessionTimeout {
+	for _, s := range r.roster {
+		if s.conn == nil && !s.Expired && time.Since(s.detachedAt) > r.opts.SessionTimeout {
 			expired = append(expired, s)
 		}
 	}
-	sort.Slice(expired, func(i, j int) bool { return expired[i].id < expired[j].id })
 	for _, s := range expired {
 		r.expire(s)
 	}
@@ -744,15 +783,16 @@ func (r *coordRun) expireDetached() {
 
 func (r *coordRun) expire(s *session) {
 	delete(r.sessions, s.token)
-	r.opts.Fleet.Expired(s.token)
+	s.Expired = true
 	lost := r.outstanding(s)
+	s.assigned = 0
 	m := r.opts.Metrics
 	if m != nil && m.HostDeaths != nil {
 		m.HostDeaths.Inc()
 	}
 	r.opts.Tracer.Emit(telemetry.Event{Kind: telemetry.KindHostLost,
-		Detail: fmt.Sprintf("%s: grace expired (%d units redelivered)", s.name, len(lost))})
-	r.opts.logf("fabric: executor %s never re-attached; session %d expired, redelivering %d units", s.name, s.token, len(lost))
+		Detail: fmt.Sprintf("%s: grace expired (%d units redelivered)", s.Name, len(lost))})
+	r.opts.logf("fabric: executor %s never re-attached; session %d expired, redelivering %d units", s.Name, s.token, len(lost))
 	for _, u := range lost {
 		delete(r.owner, u)
 		r.deaths[u]++
@@ -804,7 +844,7 @@ func (r *coordRun) frame(x *executorConn, typ uint8, payload []byte) {
 		x.conn.Close() // stale conn replaced by a reconnect; drop its frames
 		return
 	}
-	r.opts.Fleet.Seen(s.token)
+	s.lastSeen = time.Now()
 	switch typ {
 	case worker.MsgHeartbeat:
 	case msgTelemetry:
@@ -823,7 +863,7 @@ func (r *coordRun) frame(x *executorConn, typ uint8, payload []byte) {
 		r.ingestTrace(s, sentUS, evs)
 	case worker.MsgError:
 		if r.fatal == nil {
-			r.fatal = fmt.Errorf("fabric: executor %s: %s", s.name, payload)
+			r.fatal = fmt.Errorf("fabric: executor %s: %s", s.Name, payload)
 		}
 	case worker.MsgVerdict:
 		v, err := worker.DecodeVerdict(payload)
@@ -865,10 +905,8 @@ func (r *coordRun) frame(x *executorConn, typ uint8, payload []byte) {
 			o.assigned--
 			delete(r.owner, u)
 		}
-		if s.done != nil {
-			s.done.Inc()
-		}
-		r.opts.Fleet.Merged(s.token, r.doneN)
+		s.Merged++
+		s.done.Inc()
 		r.deliver(worker.Result{Index: u, Outcome: v.Outcome, Payload: v.Payload})
 		if r.fatal != nil {
 			return
@@ -944,11 +982,10 @@ func (r *coordRun) schedule() {
 		if m := r.opts.Metrics; m != nil && m.Steals != nil {
 			m.Steals.Inc()
 		}
-		r.opts.Tracer.Emit(telemetry.Event{Kind: telemetry.KindSteal, Detail: fmt.Sprintf("%d units %s -> %s", len(stolen), victim.name, thief.name)})
-		r.opts.logf("fabric: %s stole %d units from %s", thief.name, len(stolen), victim.name)
+		r.opts.Tracer.Emit(telemetry.Event{Kind: telemetry.KindSteal, Detail: fmt.Sprintf("%d units %s -> %s", len(stolen), victim.Name, thief.Name)})
+		r.opts.logf("fabric: %s stole %d units from %s", thief.Name, len(stolen), victim.Name)
 		// The stolen units stay with the thief even if the revoke fails.
 		r.revoke(victim, stolen)
-		r.fleetAssigned(thief)
 		r.assign(thief, stolen)
 	}
 }
@@ -958,7 +995,7 @@ func (r *coordRun) schedule() {
 func (r *coordRun) distribute(xs []*session, units []int) {
 	totalW := 0
 	for _, s := range xs {
-		totalW += s.workers
+		totalW += s.Workers
 	}
 	start, given := 0, 0
 	for i, s := range xs {
@@ -966,7 +1003,7 @@ func (r *coordRun) distribute(xs []*session, units []int) {
 		if i == len(xs)-1 {
 			n = len(units) - start
 		} else {
-			given += s.workers
+			given += s.Workers
 			n = len(units)*given/totalW - start
 		}
 		if n <= 0 {
@@ -978,7 +1015,6 @@ func (r *coordRun) distribute(xs []*session, units []int) {
 			r.owner[u] = s
 		}
 		s.assigned += len(slice)
-		r.fleetAssigned(s)
 		r.assign(s, slice)
 	}
 }
@@ -992,7 +1028,7 @@ func (r *coordRun) assign(s *session, units []int) {
 	if m := r.opts.Metrics; m != nil && m.Assigned != nil {
 		m.Assigned.Add(uint64(len(units)))
 	}
-	r.opts.Tracer.Emit(telemetry.Event{Kind: telemetry.KindRangeAssigned, Detail: fmt.Sprintf("%d units -> %s", len(units), s.name)})
+	r.opts.Tracer.Emit(telemetry.Event{Kind: telemetry.KindRangeAssigned, Detail: fmt.Sprintf("%d units -> %s", len(units), s.Name)})
 	if err := s.conn.send(msgAssign, encodeRuns(units)); err != nil {
 		r.detach(s.conn, fmt.Errorf("assign write: %w", err))
 	}

@@ -246,6 +246,16 @@ func TestFabricHostLossAndSteal(t *testing.T) {
 	if got := m.Hosts.Value(); got != 0 {
 		t.Fatalf("hosts gauge %d after shutdown, want 0", got)
 	}
+	// The lost host keeps its roster row: its history is part of the run.
+	rows := coord.Fleet().Hosts
+	if len(rows) != 2 {
+		t.Fatalf("fleet view has %d rows after a host loss, want 2: %+v", len(rows), rows)
+	}
+	for _, h := range rows {
+		if wedged := h.Name == "wedged"; h.Expired != wedged || h.Attached {
+			t.Errorf("row %s: expired=%v attached=%v, want expired=%v attached=false", h.Name, h.Expired, h.Attached, wedged)
+		}
+	}
 }
 
 // TestFabricRejectsMismatchedExecutor sends in one executor whose rebuilt

@@ -2,9 +2,9 @@ package fabric
 
 import (
 	"fmt"
+	"regexp"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/telemetry"
@@ -70,36 +70,20 @@ func (f *Federation) snapshot() []snapEntry {
 	return entries
 }
 
-// FleetHost is one executor's row in the live fleet view (/fleet).
+// FleetHost is one executor's row in the live fleet view (/fleet): the
+// report's row plus the live scheduling state.
 type FleetHost struct {
-	Name     string `json:"name"`
-	Workers  int    `json:"workers"`
-	Attached bool   `json:"attached"`
-	Expired  bool   `json:"expired,omitempty"`
+	telemetry.HostStats
+	Attached bool `json:"attached"`
 	// Assigned is the number of units the host currently owns; Ranges is
-	// their run-length rendering as of the last scheduling change (it is
-	// not decremented per verdict — it answers "what was this host given",
-	// Assigned answers "how much is left").
+	// their run-length rendering, so both shrink as verdicts arrive.
 	Assigned int    `json:"assigned"`
 	Ranges   string `json:"ranges,omitempty"`
-	// Merged counts verdicts the coordinator folded in from this host;
-	// Executed is the host's own federated counter (may run ahead of
-	// Merged by unacked verdicts).
-	Merged   int    `json:"merged"`
-	Executed uint64 `json:"executed,omitempty"`
-	// UnitsPerSec is Merged over the host's attached lifetime.
+	// UnitsPerSec is Merged over the time since the session was created.
 	UnitsPerSec float64 `json:"units_per_sec"`
 	// LastSeenMS is milliseconds since the last frame from this host — the
 	// heartbeat lag a fleet operator watches for stragglers.
 	LastSeenMS int64 `json:"last_seen_ms"`
-	// ClockOffsetUS is the latest heartbeat-sampled offset between this
-	// host's clock and the coordinator's (coordinator receipt time minus
-	// executor send stamp, so it includes one-way latency).
-	ClockOffsetUS int64 `json:"clock_offset_us,omitempty"`
-	Reconnects    int   `json:"reconnects,omitempty"`
-
-	joined   time.Time
-	lastSeen time.Time
 }
 
 // FleetSnapshot is the /fleet JSON document: campaign progress, every host
@@ -113,160 +97,31 @@ type FleetSnapshot struct {
 	Counters map[string]uint64 `json:"counters,omitempty"`
 }
 
-// FleetTracker is the coordinator's thread-safe live-fleet view: the event
-// loop updates it in-line (cheap, mutex-guarded field writes), the debug
-// server's /fleet handler and the end-of-run report read it from other
-// goroutines.
-type FleetTracker struct {
-	mu    sync.Mutex
-	total int
-	done  int
-	hosts map[uint64]*FleetHost
-	order []uint64 // registration order, for stable rendering
-	reg   *telemetry.Registry
-}
-
-// NewFleetTracker returns a tracker for a campaign of total units whose
-// counter section snapshots reg (nil: no counters in /fleet).
-func NewFleetTracker(total int, reg *telemetry.Registry) *FleetTracker {
-	return &FleetTracker{total: total, hosts: make(map[uint64]*FleetHost), reg: reg}
-}
-
-// host returns the row for token, creating it on first sight.
-func (t *FleetTracker) host(token uint64) *FleetHost {
-	h, ok := t.hosts[token]
-	if !ok {
-		h = &FleetHost{joined: time.Now(), lastSeen: time.Now()}
-		t.hosts[token] = h
-		t.order = append(t.order, token)
-	}
-	return h
-}
-
-// Joined records a (re)registered session. Reattach passes attached=true
-// again; the tracker counts it as a reconnect.
-func (t *FleetTracker) Joined(token uint64, name string, workers int) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	h := t.host(token)
-	if h.Name != "" {
-		h.Reconnects++
-	}
-	h.Name, h.Workers, h.Attached, h.Expired = name, workers, true, false
-	h.lastSeen = time.Now()
-}
-
-// Seen stamps frame receipt from the host (heartbeat lag zeroes).
-func (t *FleetTracker) Seen(token uint64) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.host(token).lastSeen = time.Now()
-}
-
-// Detached marks the host's connection as lost (session still held).
-func (t *FleetTracker) Detached(token uint64) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.host(token).Attached = false
-}
-
-// Expired marks the host dead: its session timed out and its units were
-// redelivered.
-func (t *FleetTracker) Expired(token uint64) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	h := t.host(token)
-	h.Attached, h.Expired, h.Assigned, h.Ranges = false, true, 0, ""
-}
-
-// Assigned replaces the host's owned-unit view after a scheduling change
-// (initial shard, steal, redelivery, re-attach).
-func (t *FleetTracker) Assigned(token uint64, units []int) {
-	if t == nil {
-		return
-	}
-	ranges := formatRuns(units)
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	h := t.host(token)
-	h.Assigned, h.Ranges = len(units), ranges
-}
-
-// Merged records one verdict folded in from the host, plus overall
-// campaign progress.
-func (t *FleetTracker) Merged(token uint64, done int) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	h := t.host(token)
-	h.Merged++
-	if h.Assigned > 0 {
-		h.Assigned--
-	}
-	t.done = done
-}
-
-// Progress records campaign progress not attributable to a host (journal
-// replays on resume).
-func (t *FleetTracker) Progress(done int) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.done = done
-}
-
-// Sampled records a clock-offset sample and the host's federated executed
-// counter from an ingested telemetry frame.
-func (t *FleetTracker) Sampled(token uint64, offsetUS int64, executed uint64, ok bool) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	h := t.host(token)
-	h.ClockOffsetUS = offsetUS
-	if ok {
-		h.Executed = executed
-	}
-}
-
-// Snapshot renders the tracker for /fleet. The counter section is limited
-// to the fabric_ and chaos_ families — the full registry is what /metrics
-// is for.
-func (t *FleetTracker) Snapshot() FleetSnapshot {
-	if t == nil {
-		return FleetSnapshot{}
-	}
-	t.mu.Lock()
-	snap := FleetSnapshot{Total: t.total, Done: t.done, Hosts: make([]FleetHost, 0, len(t.order))}
+// Fleet renders the live fleet view from the session roster. It is safe
+// from any goroutine, before, during and after Run. Total counts the units
+// given to Run (units replayed from a journal never cross the wire). The
+// counter section is limited to the fabric_ and chaos_ families — the full
+// registry is what /metrics is for.
+func (c *Coordinator) Fleet() FleetSnapshot {
+	r := c.run
+	r.mu.Lock()
+	snap := FleetSnapshot{Total: r.total, Done: r.doneN, Hosts: make([]FleetHost, len(r.roster))}
 	now := time.Now()
-	for _, token := range t.order {
-		h := *t.hosts[token]
-		h.LastSeenMS = now.Sub(h.lastSeen).Milliseconds()
-		if life := now.Sub(h.joined).Seconds(); life > 0 {
-			h.UnitsPerSec = float64(h.Merged) / life
+	for i, s := range r.roster {
+		h := FleetHost{
+			HostStats:  s.HostStats,
+			Attached:   s.conn != nil,
+			Assigned:   s.assigned,
+			Ranges:     formatRuns(r.outstanding(s)),
+			LastSeenMS: now.Sub(s.lastSeen).Milliseconds(),
 		}
-		snap.Hosts = append(snap.Hosts, h)
+		if life := now.Sub(s.joined).Seconds(); life > 0 {
+			h.UnitsPerSec = float64(s.Merged) / life
+		}
+		snap.Hosts[i] = h
 	}
-	reg := t.reg
-	t.mu.Unlock()
-	if reg != nil {
+	r.mu.Unlock()
+	if reg := c.opts.Registry; reg != nil {
 		snap.Counters = make(map[string]uint64)
 		for name, v := range reg.Counters() {
 			if strings.HasPrefix(name, "fabric_") || strings.HasPrefix(name, "chaos_") {
@@ -277,31 +132,15 @@ func (t *FleetTracker) Snapshot() FleetSnapshot {
 	return snap
 }
 
-// Source adapts the tracker to the debug server's /fleet hook.
-func (t *FleetTracker) Source() func() any {
-	return func() any { return t.Snapshot() }
-}
-
-// HostStats renders the tracker as the report's hosts section, in
-// registration order.
-func (t *FleetTracker) HostStats() []telemetry.HostStats {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]telemetry.HostStats, 0, len(t.order))
-	for _, token := range t.order {
-		h := t.hosts[token]
-		out = append(out, telemetry.HostStats{
-			Name:          h.Name,
-			Workers:       h.Workers,
-			Merged:        h.Merged,
-			Executed:      h.Executed,
-			Reconnects:    h.Reconnects,
-			Expired:       h.Expired,
-			ClockOffsetUS: h.ClockOffsetUS,
-		})
+// Hosts renders the roster as the report's hosts section, one row per
+// session in registration order. Like Fleet, it is safe from any goroutine.
+func (c *Coordinator) Hosts() []telemetry.HostStats {
+	r := c.run
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	out := make([]telemetry.HostStats, len(r.roster))
+	for i, s := range r.roster {
+		out[i] = s.HostStats
 	}
 	return out
 }
@@ -333,29 +172,36 @@ func formatRuns(units []int) string {
 // acked yet.
 const fedExecutedName = "fabric_units_executed_total"
 
+// metricNameRE is the federated series name grammar: a Prometheus metric
+// name, optionally followed by one constant label block whose values need
+// no escaping — exactly what telemetry.WithLabel can splice a host label
+// into and WritePrometheus can print as one line.
+var metricNameRE = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*` +
+	`(\{[a-zA-Z_][a-zA-Z0-9_]*="[^"\\\n\r]*"(,[a-zA-Z_][a-zA-Z0-9_]*="[^"\\\n\r]*")*\})?$`)
+
 // validMetricName gates federated series names before they are registered
 // locally: a frame from a fingerprint-matched executor is trusted about as
 // far as its verdicts are, but a name that would corrupt the Prometheus
-// exposition (newlines, unbounded length) is dropped regardless.
+// exposition (outside metricNameRE, a host label of its own that would
+// repeat the spliced one, or unbounded length) is dropped regardless.
 func validMetricName(name string) bool {
-	if name == "" || len(name) > 256 {
-		return false
-	}
-	return !strings.ContainsAny(name, "\n\r")
+	return len(name) <= 256 && metricNameRE.MatchString(name) &&
+		!strings.Contains(name, `{host="`) && !strings.Contains(name, `,host="`)
 }
 
 // ingestSnapshot folds one telemetry frame into the coordinator: every
 // series becomes a host-labelled gauge on the coordinator registry (gauges,
 // not counters — these are samples of remote cumulative state, and Set is
-// idempotent under the at-most-once frame delivery), and the fleet tracker
-// gets the clock-offset sample and the host's executed counter.
+// idempotent under the at-most-once frame delivery), and the session's
+// fleet row gets the clock-offset sample and the host's executed counter.
 func (r *coordRun) ingestSnapshot(s *session, sentUS int64, entries []snapEntry) {
 	var offsetUS int64
 	if sentUS != 0 {
 		offsetUS = time.Now().UnixMicro() - sentUS
 	}
+	s.ClockOffsetUS = offsetUS
 	if reg := r.opts.Registry; reg != nil {
-		label := fmt.Sprintf("host=%q", s.name)
+		label := fmt.Sprintf("host=%q", s.Name)
 		for _, e := range entries {
 			if !validMetricName(e.Name) {
 				continue
@@ -363,14 +209,12 @@ func (r *coordRun) ingestSnapshot(s *session, sentUS int64, entries []snapEntry)
 			reg.Gauge(telemetry.WithLabel(e.Name, label)).Set(int64(e.Value))
 		}
 	}
-	executed, haveExec := uint64(0), false
 	for _, e := range entries {
 		if e.Name == fedExecutedName {
-			executed, haveExec = e.Value, true
+			s.Executed = e.Value
 			break
 		}
 	}
-	r.opts.Fleet.Sampled(s.token, offsetUS, executed, haveExec)
 }
 
 // ingestTrace re-emits one trace frame's events on the coordinator's
@@ -383,21 +227,10 @@ func (r *coordRun) ingestTrace(s *session, sentUS int64, evs []telemetry.Event) 
 		offset = time.Since(time.UnixMicro(sentUS))
 	}
 	for _, e := range evs {
-		e.Host = s.name
+		e.Host = s.Name
 		if !e.T.IsZero() {
 			e.T = e.T.Add(offset)
 		}
 		r.opts.Tracer.Emit(e)
 	}
-}
-
-// fleetAssigned refreshes the fleet tracker's owned-range view for s from
-// the authoritative owner map. Called on scheduling changes only (shard,
-// steal, re-attach, recovery) — they are rare, so the O(units) walk is
-// cheap; per-verdict bookkeeping is the tracker's own decrement.
-func (r *coordRun) fleetAssigned(s *session) {
-	if r.opts.Fleet == nil {
-		return
-	}
-	r.opts.Fleet.Assigned(s.token, r.outstanding(s))
 }

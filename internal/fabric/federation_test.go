@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -137,7 +138,6 @@ func TestFederationLoopback(t *testing.T) {
 	const hosts = 2
 	reg := telemetry.NewRegistry()
 	tracer := telemetry.NewTracer(4 * units * hosts)
-	fleet := NewFleetTracker(units, reg)
 	coord, err := NewCoordinator(CoordinatorOptions{
 		Addr:              "127.0.0.1:0",
 		MinHosts:          hosts,
@@ -149,7 +149,6 @@ func TestFederationLoopback(t *testing.T) {
 		Quarantine:        journal.Outcome{Mode: 9},
 		Tracer:            tracer,
 		Registry:          reg,
-		Fleet:             fleet,
 		Log:               t.Logf,
 	})
 	if err != nil {
@@ -247,7 +246,7 @@ func TestFederationLoopback(t *testing.T) {
 	}
 
 	// Fleet view: every verdict attributed, both hosts present and named.
-	snap := fleet.Snapshot()
+	snap := coord.Fleet()
 	if snap.Total != units || snap.Done != units {
 		t.Errorf("fleet progress %d/%d, want %d/%d", snap.Done, snap.Total, units, units)
 	}
@@ -262,6 +261,11 @@ func TestFederationLoopback(t *testing.T) {
 		if h.Executed == 0 {
 			t.Errorf("fleet host %s reports zero federated executed units", h.Name)
 		}
+		// Ranges shows what a host still owns: nothing, once every unit
+		// has its verdict.
+		if h.Assigned != 0 || h.Ranges != "" {
+			t.Errorf("fleet host %s still owns %d units (%q) after the run", h.Name, h.Assigned, h.Ranges)
+		}
 		merged += h.Merged
 	}
 	// Merged counts only first deliveries (the coordinator drops steal
@@ -269,7 +273,7 @@ func TestFederationLoopback(t *testing.T) {
 	if merged != units {
 		t.Errorf("fleet merged total %d, want %d", merged, units)
 	}
-	stats := fleet.HostStats()
+	stats := coord.Hosts()
 	if len(stats) != hosts {
 		t.Fatalf("HostStats has %d rows, want %d", len(stats), hosts)
 	}
@@ -281,7 +285,6 @@ func TestFederationLoopback(t *testing.T) {
 func TestFederationOffIsInert(t *testing.T) {
 	const units = 30
 	reg := telemetry.NewRegistry()
-	fleet := NewFleetTracker(units, reg)
 	coord, err := NewCoordinator(CoordinatorOptions{
 		Addr:              "127.0.0.1:0",
 		MinHosts:          1,
@@ -292,7 +295,6 @@ func TestFederationOffIsInert(t *testing.T) {
 		SessionTimeout:    150 * time.Millisecond,
 		Quarantine:        journal.Outcome{Mode: 9},
 		Registry:          reg,
-		Fleet:             fleet,
 		Log:               t.Logf,
 	})
 	if err != nil {
@@ -317,7 +319,7 @@ func TestFederationOffIsInert(t *testing.T) {
 			t.Errorf("federated series %s appeared without federation", name)
 		}
 	}
-	snap := fleet.Snapshot()
+	snap := coord.Fleet()
 	if len(snap.Hosts) != 1 || snap.Hosts[0].Merged != units {
 		t.Errorf("fleet view %+v: session tracking must work without federation", snap.Hosts)
 	}
@@ -339,6 +341,145 @@ func TestFormatRuns(t *testing.T) {
 	for _, c := range cases {
 		if got := formatRuns(c.units); got != c.want {
 			t.Errorf("formatRuns(%v) = %q, want %q", c.units, got, c.want)
+		}
+	}
+}
+
+// TestFabricSharedNameSeries joins two executors under one name, as two
+// executors on one machine both default to its hostname. The roster must
+// tell them apart — the second becomes twin#1 — so each gets its own
+// per-host units counter and federated series, and Hosts lists them in
+// registration order.
+func TestFabricSharedNameSeries(t *testing.T) {
+	const units = 40
+	reg := telemetry.NewRegistry()
+	coord, err := NewCoordinator(CoordinatorOptions{
+		Addr:              "127.0.0.1:0",
+		MinHosts:          2,
+		Spec:              testSpec(),
+		Units:             units,
+		HeartbeatInterval: 20 * time.Millisecond,
+		HeartbeatTimeout:  2 * time.Second,
+		SessionTimeout:    150 * time.Millisecond,
+		Quarantine:        journal.Outcome{Mode: 9},
+		Metrics:           NewMetrics(reg),
+		Registry:          reg,
+		Log:               t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap := coord.Fleet(); len(snap.Hosts) != 0 || snap.Total != 0 {
+		t.Fatalf("fleet view before Run: %+v, want empty", snap)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	joinErr := make(chan error, 2)
+	join := func() {
+		joinErr <- Join(ctx, coord.Addr().String(), ExecutorOptions{
+			Name:       "twin",
+			Workers:    2,
+			Batch:      inProcFactory(fakeFactory(units, 0), 2),
+			Federation: NewFederation(nil, nil),
+		})
+	}
+	// Stagger the joins so registration order is known: the second
+	// executor dials only once the first holds a roster row. The campaign
+	// cannot shard before both have joined (MinHosts 2). The goroutine then
+	// keeps reading the roster while the event loop changes it.
+	stop, stopped := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(stopped)
+		go join()
+		for deadline := time.Now().Add(10 * time.Second); len(coord.Fleet().Hosts) == 0 && time.Now().Before(deadline); {
+			time.Sleep(5 * time.Millisecond)
+		}
+		go join()
+		for {
+			select {
+			case <-stop:
+				return
+			case <-time.After(time.Millisecond):
+				coord.Fleet()
+				coord.Hosts()
+			}
+		}
+	}()
+	checkResults(t, collectRun(t, coord, units, nil))
+	close(stop)
+	<-stopped
+	for i := 0; i < 2; i++ {
+		if err := <-joinErr; err != nil {
+			t.Fatalf("executor join: %v", err)
+		}
+	}
+
+	want := []string{"twin", "twin#1"}
+	var names []string
+	for _, h := range coord.Fleet().Hosts {
+		names = append(names, h.Name)
+	}
+	if !reflect.DeepEqual(names, want) {
+		t.Fatalf("fleet names %q, want %q", names, want)
+	}
+	names = names[:0]
+	for _, h := range coord.Hosts() {
+		names = append(names, h.Name)
+	}
+	if !reflect.DeepEqual(names, want) {
+		t.Fatalf("Hosts() names %q, want %q in registration order", names, want)
+	}
+
+	counts := reg.Counters()
+	hostUnits, executed := 0, 0
+	var unitSum uint64
+	for name, v := range counts {
+		switch {
+		case strings.HasPrefix(name, "fabric_host_units_total{"):
+			hostUnits++
+			unitSum += v
+		case strings.HasPrefix(name, fedExecutedName+"{"):
+			executed++
+		}
+	}
+	if hostUnits != 2 || unitSum != units {
+		t.Errorf("%d fabric_host_units_total series summing to %d, want 2 summing to %d", hostUnits, unitSum, units)
+	}
+	if executed != 2 {
+		t.Errorf("%d federated %s series, want 2", executed, fedExecutedName)
+	}
+}
+
+// TestIngestSnapshotExposition feeds a telemetry frame whose series names
+// would break the Prometheus text format once a host label is spliced in
+// (a second host label among them): each must be dropped, the well-formed ones (labelled campaign names
+// included) kept, and every line of the exposition must still parse.
+func TestIngestSnapshotExposition(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	r := &coordRun{opts: &CoordinatorOptions{Registry: reg}}
+	s := &session{HostStats: telemetry.HostStats{Name: `exec "0"`}}
+	bad := []string{"foo{", "a b", `x"y`, "", "9lives", `m{a="b"`, `m{a="b",}`, `m{}`, `m{a="\"}`, `m{a="x"} 1`, "m\n1", `m{host="a"}`, `m{a="b",host="c"}`, strings.Repeat("n", 257)}
+	good := []string{"ok_total", `campaign_verdicts_total{mode="correct"}`, `m:x{a="1",b_2="two words"}`}
+	var entries []snapEntry
+	for i, name := range append(append([]string(nil), bad...), good...) {
+		entries = append(entries, snapEntry{Name: name, Value: uint64(i)})
+	}
+	r.ingestSnapshot(s, 0, entries)
+
+	if n := len(reg.Counters()); n != len(good) {
+		t.Errorf("%d series registered, want the %d well-formed ones: %v", n, len(good), reg.Counters())
+	}
+	var sb strings.Builder
+	if err := reg.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	const name = `[a-zA-Z_:][a-zA-Z0-9_:]*`
+	const label = `[a-zA-Z_][a-zA-Z0-9_]*="(?:[^"\\\n]|\\.)*"`
+	sample := regexp.MustCompile(`^` + name + `(\{` + label + `(,` + label + `)*\})? -?[0-9]+$`)
+	typeLine := regexp.MustCompile(`^# TYPE ` + name + ` (counter|gauge|histogram)$`)
+	for _, line := range strings.Split(strings.TrimSuffix(sb.String(), "\n"), "\n") {
+		if !sample.MatchString(line) && !typeLine.MatchString(line) {
+			t.Errorf("exposition line does not parse: %q", line)
 		}
 	}
 }

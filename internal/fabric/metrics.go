@@ -1,10 +1,6 @@
 package fabric
 
-import (
-	"fmt"
-
-	"repro/internal/telemetry"
-)
+import "repro/internal/telemetry"
 
 // NewMetrics registers the coordinator's instrument bundle on reg under the
 // fabric_* namespace; a nil registry yields nil (metrics off). Every CLI
@@ -23,9 +19,6 @@ func NewMetrics(reg *telemetry.Registry) *Metrics {
 		Quarantines: reg.Counter("fabric_quarantines_total"),
 		Resumed:     reg.Counter("fabric_sessions_resumed_total"),
 		BadFrames:   reg.Counter("fabric_frames_rejected_total"),
-		HostUnits: func(host string) *telemetry.Counter {
-			return reg.Counter(fmt.Sprintf(`fabric_host_units_total{host=%q}`, host))
-		},
 	}
 }
 

@@ -209,6 +209,11 @@ func TestFabricReconnectResume(t *testing.T) {
 		t.Fatalf("deaths=%d redelivered=%d, want 0/0 (the session never expired)",
 			got["deaths"], got["redelivered"])
 	}
+	// Every re-attach lands on the one session, so the roster keeps one row
+	// and counts each re-attach as a reconnect.
+	if hs := coord.Hosts(); len(hs) != 1 || hs[0].Reconnects != int(got["resumed"]) || hs[0].Expired {
+		t.Fatalf("hosts %+v after %d re-attaches, want one live row with that many reconnects", hs, got["resumed"])
+	}
 	execs.once(t, units)
 }
 

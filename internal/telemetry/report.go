@@ -87,10 +87,11 @@ type UnitStats struct {
 }
 
 // HostStats summarises one executor host of a distributed (fabric)
-// campaign, as the coordinator saw it. Merged counts verdicts the
-// coordinator folded into the result (the authoritative number); Executed
-// is the host's own federated counter, which can exceed Merged by verdicts
-// that were still unacked when the snapshot was taken.
+// campaign, as the coordinator saw it; the fabric's /fleet row embeds it.
+// Merged counts verdicts the coordinator folded into the result (the
+// authoritative number); Executed is the host's own federated counter,
+// which can exceed Merged by verdicts that were still unacked when the
+// snapshot was taken.
 type HostStats struct {
 	Name          string `json:"name"`
 	Workers       int    `json:"workers"`
