@@ -101,12 +101,12 @@ func BenchmarkTable1(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
+			results, err := campaign.RunCleanBatch(c, cases, vm.DefaultMaxCycles, 1)
+			if err != nil {
+				b.Fatal(err)
+			}
 			wrong := 0
-			for ci := range cases {
-				res, err := campaign.RunClean(c, cases[ci].Input, cases[ci].Golden, vm.DefaultMaxCycles)
-				if err != nil {
-					b.Fatal(err)
-				}
+			for _, res := range results {
 				if res.Mode != campaign.Correct {
 					wrong++
 				}
@@ -762,8 +762,9 @@ func BenchmarkAblationMetricGuided(b *testing.B) {
 	}
 }
 
-// BenchmarkVMThroughput measures raw simulator speed on a clean Camelot
-// run (instructions per second drive every experiment's wall-clock).
+// BenchmarkVMThroughput measures simulator speed on a clean Camelot run
+// through the pooled clean-run path, machine set-up and classification
+// included (instructions per second drive every experiment's wall-clock).
 func BenchmarkVMThroughput(b *testing.B) {
 	p, _ := programs.ByName("C.team1")
 	c, err := p.Compile()
@@ -777,18 +778,18 @@ func BenchmarkVMThroughput(b *testing.B) {
 	var cycles uint64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := campaign.RunClean(c, cases[0].Input, cases[0].Golden, vm.DefaultMaxCycles)
+		res, err := campaign.RunCleanBatch(c, cases, vm.DefaultMaxCycles, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
-		cycles += res.Cycles
+		cycles += res[0].Cycles
 	}
 	b.ReportMetric(float64(cycles)/b.Elapsed().Seconds()/1e6, "Minstr/s")
 }
 
 // benchVMThroughput drives the VM directly (Load once, Reset per run) so
 // the number measures the execution engine alone, without the campaign
-// pooling and classification around RunClean.
+// pooling and classification around RunCleanBatch.
 func benchVMThroughput(b *testing.B, interpOnly bool) {
 	p, _ := programs.ByName("C.team1")
 	c, err := p.Compile()

@@ -153,8 +153,7 @@ func (p *machinePool) runClean(c *cc.Compiled, cs *workload.Case, maxCycles uint
 	if _, err := m.Run(); err != nil {
 		return RunResult{}, err
 	}
-	_, res := classify(m, cs.Golden)
-	return res, nil
+	return classify(m, cs.Golden), nil
 }
 
 // runWithFault executes one injected run on a pooled machine: the straight
@@ -171,7 +170,7 @@ func (p *machinePool) runWithFault(c *cc.Compiled, cs *workload.Case, f *fault.F
 	if _, err := m.Run(); err != nil {
 		return RunResult{}, err
 	}
-	_, res := classify(m, cs.Golden)
+	res := classify(m, cs.Golden)
 	res.Activations = s.Activations()
 	return res, nil
 }
@@ -251,7 +250,7 @@ func (p *machinePool) runFastForward(u *runUnit) (RunResult, error) {
 	if n := m.SkippedCycles(); n > 0 {
 		p.countLoopSkip(n)
 	}
-	_, res := classify(m, u.cs.Golden)
+	res := classify(m, u.cs.Golden)
 	if lean {
 		// Planted corruptions are not intercepted, so there is no exact
 		// count; the restore point guarantees at least one application.
@@ -270,10 +269,10 @@ type goldenSource struct {
 	ws    golden.WatchSet
 }
 
-// newGoldenSource builds the per-program source from every planned fault's
-// trigger addresses. It returns nil — disabling fast-forward — when no
-// fault is location-triggered.
-func newGoldenSource(faults ...[]fault.Fault) *goldenSource {
+// newGoldenSource builds the per-program source, recording in store, from
+// every planned fault's trigger addresses. It returns nil — disabling
+// fast-forward — when no fault is location-triggered.
+func newGoldenSource(store *golden.Store, faults ...[]fault.Fault) *goldenSource {
 	var addrs []uint32
 	for _, fs := range faults {
 		for fi := range fs {
@@ -286,7 +285,7 @@ func newGoldenSource(faults ...[]fault.Fault) *goldenSource {
 	if len(addrs) == 0 {
 		return nil
 	}
-	return &goldenSource{store: golden.Shared, ws: golden.NewWatchSet(addrs)}
+	return &goldenSource{store: store, ws: golden.NewWatchSet(addrs)}
 }
 
 // runUnit is one injection of a planned campaign: the (program, fault,
@@ -622,7 +621,7 @@ func quarantineLog(u *runUnit, reason string, stack []byte) {
 
 // RunCleanBatch executes the program over every case with no fault armed,
 // fanning the runs across workers with pooled machines. Results are in
-// case order, identical to calling RunClean per case.
+// case order and identical for any worker count.
 func RunCleanBatch(c *cc.Compiled, cases []workload.Case, maxCycles uint64, workers int) ([]RunResult, error) {
 	return RunCleanBatchCtx(context.Background(), c, cases, maxCycles, workers)
 }
@@ -632,17 +631,27 @@ func RunCleanBatch(c *cc.Compiled, cases []workload.Case, maxCycles uint64, work
 // returned (results are dropped — clean batches are cheap to redo and have
 // no journal).
 func RunCleanBatchCtx(ctx context.Context, c *cc.Compiled, cases []workload.Case, maxCycles uint64, workers int) ([]RunResult, error) {
-	pools := make([]*machinePool, parallel.DefaultWorkers(workers))
-	return parallel.MapCtx(ctx, workers, len(cases), func(w, i int) (RunResult, error) {
-		if pools[w] == nil {
-			pools[w] = newMachinePool()
-		}
-		return pools[w].runClean(c, &cases[i], maxCycles)
+	return pooledMap(ctx, workers, len(cases), func(p *machinePool, i int) (RunResult, error) {
+		return p.runClean(c, &cases[i], maxCycles)
 	})
 }
 
-// Watchdog budget formula (see CalibrateCycles): budget = clean-run cycles
-// times budgetFactor plus budgetSlack.
+// pooledMap is the fan-out of the runs that are not campaign units — clean
+// batches, calibration and the emulation studies: fn runs for every index
+// in 0..n-1 over the configured workers, each worker with a machine pool of
+// its own, and the results come back in index order.
+func pooledMap[T any](ctx context.Context, workers, n int, fn func(p *machinePool, i int) (T, error)) ([]T, error) {
+	pools := make([]*machinePool, parallel.DefaultWorkers(workers))
+	return parallel.MapCtx(ctx, workers, n, func(w, i int) (T, error) {
+		if pools[w] == nil {
+			pools[w] = newMachinePool()
+		}
+		return fn(pools[w], i)
+	})
+}
+
+// Watchdog budget formula (see CalibrateCyclesWorkers): budget = clean-run
+// cycles times budgetFactor plus budgetSlack.
 const (
 	budgetFactor = 3
 	budgetSlack  = 50_000
@@ -696,11 +705,16 @@ type calibKey struct {
 
 var calibCache sync.Map // calibKey -> []uint64
 
-// CalibrateCyclesWorkers is CalibrateCycles with an explicit worker count
-// (0 selects runtime.GOMAXPROCS(0), 1 the serial path). Budgets are cached
-// per (compiled program, case set), so repeated campaigns on the same
-// workload do not recalibrate; the returned slice is shared and must be
-// treated as read-only.
+// CalibrateCyclesWorkers measures the clean-run cycle count of every case
+// over workers (0 selects runtime.GOMAXPROCS(0), 1 the serial path) and
+// returns per-case watchdog budgets: a multiple of the clean run plus
+// slack. Faulty runs exceeding the budget are classified as hangs — the
+// experiment manager's timeout of §6.2. The multiplier leaves room for
+// mutations that legitimately lengthen execution (an off-by-one loop bound
+// adds a single iteration) while keeping dead loops cheap to detect.
+// Budgets are cached per (compiled program, case set), so repeated
+// campaigns on the same workload do not recalibrate; the returned slice is
+// shared and must be treated as read-only.
 func CalibrateCyclesWorkers(c *cc.Compiled, cases []workload.Case, workers int) ([]uint64, error) {
 	if len(cases) == 0 {
 		return nil, nil
@@ -709,22 +723,16 @@ func CalibrateCyclesWorkers(c *cc.Compiled, cases []workload.Case, workers int) 
 	if v, ok := calibCache.Load(key); ok {
 		return v.([]uint64), nil
 	}
-	pools := make([]*machinePool, parallel.DefaultWorkers(workers))
-	budgets, err := parallel.Map(workers, len(cases), func(w, i int) (uint64, error) {
-		if pools[w] == nil {
-			pools[w] = newMachinePool()
-		}
-		res, err := pools[w].runClean(c, &cases[i], vm.DefaultMaxCycles)
-		if err != nil {
-			return 0, err
-		}
-		if res.Mode != Correct {
-			return 0, fmt.Errorf("campaign: clean run %d not correct (mode %v, state %v)", i, res.Mode, res.State)
-		}
-		return res.Cycles*budgetFactor + budgetSlack, nil
-	})
+	runs, err := RunCleanBatch(c, cases, vm.DefaultMaxCycles, workers)
 	if err != nil {
 		return nil, err
+	}
+	budgets := make([]uint64, len(runs))
+	for i, res := range runs {
+		if res.Mode != Correct {
+			return nil, fmt.Errorf("campaign: clean run %d not correct (mode %v, state %v)", i, res.Mode, res.State)
+		}
+		budgets[i] = res.Cycles*budgetFactor + budgetSlack
 	}
 	calibCache.Store(key, budgets)
 	return budgets, nil

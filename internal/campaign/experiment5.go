@@ -1,16 +1,17 @@
 package campaign
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
 
 	"repro/internal/cc"
 	"repro/internal/fault"
+	"repro/internal/golden"
 	"repro/internal/injector"
 	"repro/internal/locator"
 	"repro/internal/odc"
-	"repro/internal/parallel"
 	"repro/internal/programs"
 	"repro/internal/vm"
 	"repro/internal/workload"
@@ -287,10 +288,8 @@ func VerifyEmulation(p *programs.Program, em *Emulation, s Strategy, mode inject
 }
 
 // VerifyEmulationWorkers is VerifyEmulation with an explicit worker count
-// (0 selects runtime.GOMAXPROCS(0), 1 the serial path). Each case is an
-// independent pair of runs — the real faulty binary and the injected
-// corrected binary — so the pairs shard across workers; the counts are
-// folded in case order and are identical for any worker count.
+// (0 selects runtime.GOMAXPROCS(0), 1 the serial path): CompareEmulations
+// of the one pair (faulty binary, strategy-applied emulation).
 func VerifyEmulationWorkers(p *programs.Program, em *Emulation, s Strategy, mode injector.Mode, cases []workload.Case, workers int) (*EquivalenceReport, error) {
 	if em.Fault == nil {
 		return nil, fmt.Errorf("campaign: %s is not emulable", p.Name)
@@ -307,41 +306,79 @@ func VerifyEmulationWorkers(p *programs.Program, em *Emulation, s Strategy, mode
 	if err != nil {
 		return nil, err
 	}
-	rep := &EquivalenceReport{Program: p.Name, Strategy: s, Mode: mode, Cases: len(cases)}
-	type pairOutcome struct {
-		equivalent bool
-		faultShown bool
+	reps, err := CompareEmulations(correct, []EmulationPair{{Ref: faulty, Fault: f}}, mode, cases, workers)
+	if err != nil {
+		return nil, err
 	}
-	pools := make([]*machinePool, parallel.DefaultWorkers(workers))
-	outcomes, err := parallel.Map(workers, len(cases), func(w, i int) (pairOutcome, error) {
-		if pools[w] == nil {
-			pools[w] = newMachinePool()
-		}
-		real, err := pools[w].runClean(faulty, &cases[i], vm.DefaultMaxCycles)
+	reps[0].Program, reps[0].Strategy = p.Name, s
+	return &reps[0], nil
+}
+
+// EmulationPair is one emulation to verify: a reference binary — a real
+// faulty program, or a source-level mutant — and the fault that should
+// reproduce its behaviour when injected into the correct binary.
+type EmulationPair struct {
+	Ref   *cc.Compiled
+	Fault *fault.Fault
+}
+
+// CompareEmulations is the study path: one report per pair, in pair order,
+// each counting the cases on which a clean run of the pair's reference and
+// an injected run of correct end in the same failure mode with the same
+// output. Injected runs are executor units at the fixed vm.DefaultMaxCycles
+// watchdog (fast-forward, lean arming, the periodic-tail skip, checkpoint
+// verification, the panic guard). Runs fan out over workers (0 selects
+// runtime.GOMAXPROCS(0)) and fold in pair, then case order, so the reports
+// are identical for any worker count. A report is named after its fault's
+// program and carries no Strategy.
+func CompareEmulations(correct *cc.Compiled, pairs []EmulationPair, mode injector.Mode, cases []workload.Case, workers int) ([]EquivalenceReport, error) {
+	faults := make([]fault.Fault, len(pairs))
+	for i := range pairs {
+		faults[i] = *pairs[i].Fault
+	}
+	// The study's records live in a store of its own, dropped with it: a
+	// golden.Store key leaves out the budget, and a campaign's calibrated
+	// budget for the same cached cases differs from the study's watchdog.
+	gold := newGoldenSource(golden.NewStore(), faults)
+	type pairRun struct{ equivalent, faultShown bool }
+	n := len(cases)
+	runs, err := pooledMap(context.Background(), workers, len(pairs)*n, func(p *machinePool, k int) (pairRun, error) {
+		pr, ci := &pairs[k/n], k%n
+		ref, err := p.runClean(pr.Ref, &cases[ci], vm.DefaultMaxCycles)
 		if err != nil {
-			return pairOutcome{}, err
+			return pairRun{}, err
 		}
-		injected, err := pools[w].runWithFault(correct, &cases[i], f, mode, vm.DefaultMaxCycles)
+		u := &runUnit{
+			program: pr.Fault.Where.Program, c: correct, f: pr.Fault,
+			cs: &cases[ci], caseIx: ci,
+			budget: vm.DefaultMaxCycles, mode: mode, gold: gold,
+		}
+		inj, err := runUnitGuarded(p, u, 1)
 		if err != nil {
-			return pairOutcome{}, err
+			return pairRun{}, fmt.Errorf("campaign: %s case %d: %w", pr.Fault.ID, ci, err)
 		}
-		return pairOutcome{
-			equivalent: real.Mode == injected.Mode && real.Output == injected.Output,
-			faultShown: real.Mode != Correct,
+		return pairRun{
+			equivalent: ref.Mode == inj.Mode && ref.Output == inj.Output,
+			faultShown: ref.Mode != Correct,
 		}, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	for _, o := range outcomes {
-		if o.equivalent {
+	reps := make([]EquivalenceReport, len(pairs))
+	for i := range reps {
+		reps[i] = EquivalenceReport{Program: pairs[i].Fault.Where.Program, Mode: mode, Cases: n}
+	}
+	for k, r := range runs {
+		rep := &reps[k/n]
+		if r.equivalent {
 			rep.Equivalent++
 		}
-		if o.faultShown {
+		if r.faultShown {
 			rep.FaultShown++
 		}
 	}
-	return rep, nil
+	return reps, nil
 }
 
 // Section5Summary aggregates the §5 verdicts plus the field-data share they

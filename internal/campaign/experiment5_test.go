@@ -13,47 +13,6 @@ import (
 	"repro/internal/workload"
 )
 
-// mkCase builds a workload case from a raw input via the program's oracle.
-func mkCase(t *testing.T, kind programs.Kind, ints []int32, bytes []byte) workload.Case {
-	t.Helper()
-	in := programs.Input{Ints: ints, Bytes: bytes}
-	golden, err := kind.Oracle()(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return workload.Case{Input: in, Golden: golden}
-}
-
-// exposingCases returns, per program, a case set that includes inputs known
-// to expose the real fault (found by intensive search) plus the contest
-// cases (where the fault stays dormant).
-func exposingCases(t *testing.T, p *programs.Program) []workload.Case {
-	t.Helper()
-	contest, err := workload.ContestCases(p.Kind)
-	if err != nil {
-		t.Fatal(err)
-	}
-	switch p.Name {
-	case "C.team1":
-		return append(contest,
-			mkCase(t, p.Kind, []int32{8, 0, 2, 2, 6, 0, 5, 6, 6, 2, 1, 3, 4, 4, 7, 6, 0, 5, 0}, nil),
-			mkCase(t, p.Kind, []int32{8, 0, 6, 5, 2, 4, 0, 6, 3, 2, 7, 4, 7, 3, 3, 4, 5, 4, 2}, nil),
-		)
-	case "C.team4":
-		return append(contest,
-			mkCase(t, p.Kind, []int32{5, 7, 2, 2, 6, 3, 5, 0, 1, 0, 6, 1, 2}, nil),
-			mkCase(t, p.Kind, []int32{4, 7, 6, 7, 1, 5, 2, 1, 2, 1, 0}, nil),
-		)
-	case "JB.team6":
-		return append(contest,
-			mkCase(t, p.Kind, []int32{-272473, 80}, []byte("Iq9pvnnTxknpxzh-ncesHD3pCbQruW.e-hrjfmcyh .fx-zGsqqW.-QaPY7XU y2ldCajXmDorlc5bfd")),
-			mkCase(t, p.Kind, []int32{-677774, 80}, []byte("bhn6CGKqa!aiZ!eKaIRNjpYaa-u-t!zkvs6Mzewpnlrbw1b.tcqkTalf7gzyXRqrXscldsxqbhfa4wYe")),
-		)
-	}
-	t.Fatalf("no exposing cases recorded for %s", p.Name)
-	return nil
-}
-
 func mustProgram(t *testing.T, name string) *programs.Program {
 	t.Helper()
 	p, ok := programs.ByName(name)
@@ -114,7 +73,7 @@ func TestEmulationEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cases := exposingCases(t, p)
+		cases := campaign.ExposingCases(t, p)
 		for _, s := range []campaign.Strategy{campaign.StrategyTextAtStart, campaign.StrategyFetchEveryExec} {
 			t.Run(name+"/"+s.String(), func(t *testing.T) {
 				rep, err := campaign.VerifyEmulation(p, em, s, injector.ModeHardware, cases)
@@ -144,7 +103,7 @@ func TestStackShiftEmulation(t *testing.T) {
 	if em.Triggers <= 2 {
 		t.Fatalf("stack shift needs %d triggers; expected more than the 2 IABRs", em.Triggers)
 	}
-	cases := exposingCases(t, p)
+	cases := campaign.ExposingCases(t, p)
 
 	// Hardware mode must refuse to arm it.
 	_, err = campaign.VerifyEmulation(p, em, campaign.StrategyFetchEveryExec, injector.ModeHardware, cases)

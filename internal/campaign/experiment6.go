@@ -379,7 +379,7 @@ func planCampaign(cfg *Config) (*plannedCampaign, error) {
 			for i, plan := range plans {
 				faultSets[i] = plan.Faults
 			}
-			gold = newGoldenSource(faultSets...)
+			gold = newGoldenSource(golden.Shared, faultSets...)
 		}
 
 		for pi, class := range cfg.Classes {

@@ -100,40 +100,6 @@ func TestTriggerStudyParallelDeterminism(t *testing.T) {
 	}
 }
 
-// TestRunCleanBatchMatchesRunClean pins the pooled batch path to the
-// one-machine-per-run reference path, including over a faulty binary where
-// outputs deviate.
-func TestRunCleanBatchMatchesRunClean(t *testing.T) {
-	p, ok := programs.ByName("C.team2")
-	if !ok {
-		t.Fatal("C.team2 missing from the suite")
-	}
-	c, err := p.CompileFaulty()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cases, err := workload.Generate(p.Kind, 25, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	batch, err := campaign.RunCleanBatch(c, cases, 0, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(batch) != len(cases) {
-		t.Fatalf("batch returned %d results for %d cases", len(batch), len(cases))
-	}
-	for i := range cases {
-		ref, err := campaign.RunClean(c, cases[i].Input, cases[i].Golden, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(ref, batch[i]) {
-			t.Errorf("case %d: batch %+v != reference %+v", i, batch[i], ref)
-		}
-	}
-}
-
 // TestCalibrateCyclesCached proves repeated campaigns do not recalibrate:
 // the same (program, case set) returns the identical budgets slice.
 func TestCalibrateCyclesCached(t *testing.T) {

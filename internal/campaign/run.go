@@ -8,13 +8,8 @@ package campaign
 import (
 	"fmt"
 
-	"repro/internal/cc"
-	"repro/internal/fault"
 	"repro/internal/golden"
-	"repro/internal/injector"
-	"repro/internal/programs"
 	"repro/internal/vm"
-	"repro/internal/workload"
 )
 
 // FailureMode is the outcome classification of one run (§6.2).
@@ -64,23 +59,11 @@ type RunResult struct {
 	ExitStatus  int32
 }
 
-// newMachine builds a fresh machine (the per-injection "reboot") with the
-// given cycle budget and the program plus input loaded.
-func newMachine(c *cc.Compiled, in programs.Input, maxCycles uint64) (*vm.Machine, error) {
-	m := vm.New(vm.Config{MaxCycles: maxCycles})
-	if err := m.Load(c.Prog.Image); err != nil {
-		return nil, err
-	}
-	m.SetInput(in.Ints)
-	m.SetByteInput(in.Bytes)
-	return m, nil
-}
-
 // classify maps a finished machine plus the golden output to a failure
 // mode. A normal termination with a non-zero exit status counts as a crash
 // (the system detected an error), matching the paper's "program terminated
 // abnormally" category.
-func classify(m *vm.Machine, golden string) (FailureMode, RunResult) {
+func classify(m *vm.Machine, golden string) RunResult {
 	res := RunResult{
 		State:      m.State(),
 		Output:     string(m.Output()),
@@ -89,7 +72,7 @@ func classify(m *vm.Machine, golden string) (FailureMode, RunResult) {
 	}
 	res.Exc, _ = m.Exception()
 	res.Mode = classifyMode(res.State, res.ExitStatus, res.Output, golden)
-	return res.Mode, res
+	return res
 }
 
 // classifyMode is the failure-mode decision shared by classify and the
@@ -126,52 +109,4 @@ func resultFromRecord(rec *golden.Record, goldenOut string) RunResult {
 		Cycles:     rec.Cycles,
 		ExitStatus: rec.ExitStatus,
 	}
-}
-
-// RunClean executes the program on one input with no fault armed.
-func RunClean(c *cc.Compiled, in programs.Input, golden string, maxCycles uint64) (RunResult, error) {
-	m, err := newMachine(c, in, maxCycles)
-	if err != nil {
-		return RunResult{}, err
-	}
-	if _, err := m.Run(); err != nil {
-		return RunResult{}, err
-	}
-	_, res := classify(m, golden)
-	return res, nil
-}
-
-// RunWithFault executes the program on one input with the fault armed in
-// the given injector mode. Arm errors (e.g. breakpoint exhaustion) are
-// returned, not classified.
-func RunWithFault(c *cc.Compiled, in programs.Input, golden string, f *fault.Fault, mode injector.Mode, maxCycles uint64) (RunResult, error) {
-	m, err := newMachine(c, in, maxCycles)
-	if err != nil {
-		return RunResult{}, err
-	}
-	s, err := injector.Arm(m, mode, f)
-	if err != nil {
-		return RunResult{}, err
-	}
-	if _, err := m.Run(); err != nil {
-		return RunResult{}, err
-	}
-	_, res := classify(m, golden)
-	res.Activations = s.Activations()
-	return res, nil
-}
-
-// CalibrateCycles measures the clean-run cycle count of every case and
-// returns per-case watchdog budgets: a multiple of the clean run plus
-// slack. Faulty runs exceeding the budget are classified as hangs — the
-// experiment manager's timeout of §6.2. The multiplier leaves room for
-// mutations that legitimately lengthen execution (an off-by-one loop bound
-// adds a single iteration) while keeping dead loops cheap to detect.
-//
-// Calibration runs fan out over runtime.GOMAXPROCS(0) workers and the
-// budgets are cached per (compiled program, case set); see
-// CalibrateCyclesWorkers for the explicit-worker-count form and the
-// caching contract.
-func CalibrateCycles(c *cc.Compiled, cases []workload.Case) ([]uint64, error) {
-	return CalibrateCyclesWorkers(c, cases, 0)
 }

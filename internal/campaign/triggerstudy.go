@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/fault"
+	"repro/internal/golden"
 	"repro/internal/injector"
 	"repro/internal/locator"
 	"repro/internal/programs"
@@ -97,7 +98,7 @@ func RunTriggerStudyWorkers(programName string, nLocs, nCases int, seed int64, w
 	// policy benefits the most from the golden record — faults whose
 	// location executes fewer than Skip+1 times are recognised as dormant
 	// without running anything.
-	gold := newGoldenSource(faults)
+	gold := newGoldenSource(golden.Shared, faults)
 	var units []runUnit
 	for pi, pol := range res.Policies {
 		// Each policy gets its own fault copies so the trigger rewrite

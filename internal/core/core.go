@@ -344,7 +344,7 @@ func (e *Engine) MutationStudy() (string, error) {
 		if !ok {
 			return "", fmt.Errorf("core: missing program %s", name)
 		}
-		res, err := mutation.Study(p, 5, cases, e.Seed)
+		res, err := mutation.Study(p, 5, cases, e.Seed, e.Workers)
 		if err != nil {
 			return "", err
 		}

@@ -358,9 +358,10 @@ func (r *coordRun) handle(ev event) {
 // beat), corrupted (the executor severs and redials — the handshake is
 // answered with shutdown instead of welcome), or the executor may be
 // mid-reconnect when the campaign ends. A session is released — removed
-// from the token index, detached in the roster — when its executor closes
-// the connection, which it only does once the shutdown was received; the
-// loop exits when every session is released or the window closes.
+// from the token index — when its executor answers the shutdown with one
+// of its own, however its close then reads (hanging up with frames unread,
+// it resets the connection), or closes cleanly between frames; the loop
+// exits when every session is released or the window closes.
 func (r *coordRun) linger() {
 	goodbye := func() {
 		for _, s := range r.attached() {
@@ -401,17 +402,16 @@ func (r *coordRun) farewell(ev event) {
 			ev.x.sess = s
 		}
 		_ = ev.x.send(worker.MsgShutdown, nil)
-	case ev.err != nil:
+	case ev.err != nil, ev.typ == worker.MsgShutdown:
 		s := ev.x.sess
 		ev.x.conn.Close()
 		if s != nil && s.conn == ev.x {
 			s.conn = nil
-			// A clean close between frames: the executor got the shutdown
-			// and hung up. Receipt confirmed. Severed mid-frame (chaos
-			// corruption, reset), the executor may not have seen the
-			// goodbye: hold the session; its redial gets shutdown at the
-			// handshake.
-			if errors.Is(ev.err, io.EOF) {
+			// The executor's receipt, or a clean close between frames: it
+			// got the shutdown. Severed mid-frame (chaos corruption,
+			// reset) before a receipt, it may not have seen the goodbye:
+			// hold the session; its redial gets shutdown at the handshake.
+			if ev.err == nil || errors.Is(ev.err, io.EOF) {
 				delete(r.sessions, s.token)
 			}
 		}
@@ -631,7 +631,7 @@ func (r *coordRun) register(x *executorConn, rd worker.Ready, claimed []int) {
 		m.Resumed.Inc()
 	}
 	r.hostsGauge()
-	if err := x.send(msgWelcome, encodeWelcome(welcome{Token: s.token, Resumed: resumed, Acked: s.seq})); err != nil {
+	if err := x.send(msgWelcome, encodeWelcome(welcome{Token: s.token, Resumed: resumed, Acked: s.seq, Name: s.Name})); err != nil {
 		r.detach(x, fmt.Errorf("welcome write: %w", err))
 		return
 	}

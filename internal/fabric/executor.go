@@ -240,6 +240,7 @@ type executor struct {
 	smu       sync.Mutex       // session identity and the retransmit buffer
 	conn      net.Conn         // current connection; nil during an outage
 	token     uint64           // session token from the last welcome (0 = none yet)
+	name      string           // the coordinator's name for the session, from the last welcome
 	seq       uint32           // last verdict sequence stamped
 	unacked   []worker.Verdict // sent or pending verdicts not yet acknowledged
 	ackedSeq  uint32           // coordinator's cumulative ack watermark
@@ -453,7 +454,7 @@ func (x *executor) session(ctx context.Context, conn net.Conn) error {
 	// and a batch keeps executing while the wire is down.
 	if !x.batchStarted {
 		x.batchStarted = true
-		x.opts.logf("fabric: ready as %q: %d-unit plan, %d workers", x.opts.Name, x.units, x.opts.Workers)
+		x.opts.logf("fabric: ready as %q: %d-unit plan, %d workers", x.name, x.units, x.opts.Workers)
 		go func() { x.runErr <- x.batchLoop(ctx, x.runner) }()
 	}
 
@@ -482,11 +483,11 @@ func (x *executor) awaitWelcome(conn net.Conn) error {
 			return fatalError{fmt.Errorf("fabric: coordinator: %s", payload)}
 		case worker.MsgShutdown:
 			// Reconnected into the campaign's goodbye phase: the work is
-			// done. Closing the connection (session teardown) is the
-			// receipt the coordinator waits for.
+			// done. Answer with the receipt the coordinator waits for.
 			x.qmu.Lock()
 			x.shutdown = true
 			x.qmu.Unlock()
+			_ = x.write(conn, worker.MsgShutdown, nil)
 			return errors.New("fabric: released during handshake")
 		case msgWelcome:
 			w, err := decodeWelcome(payload)
@@ -519,9 +520,9 @@ func (x *executor) awaitWelcome(conn net.Conn) error {
 				if m := x.opts.Metrics; m != nil && m.Resumes != nil {
 					m.Resumes.Inc()
 				}
-				x.opts.logf("fabric: session %d resumed; retransmitting %d unacknowledged verdict(s)", w.Token, len(x.unacked))
+				x.opts.logf("fabric: session %d resumed as %q; retransmitting %d unacknowledged verdict(s)", w.Token, w.Name, len(x.unacked))
 			}
-			x.token = w.Token
+			x.token, x.name = w.Token, w.Name
 			x.ackedSeq = w.Acked
 			x.lastAckAt = time.Now()
 			for _, v := range x.unacked {
@@ -628,7 +629,9 @@ func (x *executor) readLoop(conn net.Conn) error {
 			// Final federation flush: the coordinator lingers after the
 			// goodbye precisely so these late frames are ingested, and a
 			// campaign shorter than one heartbeat interval still reports.
+			// The receipt that releases the session follows them.
 			x.pushTelemetry(conn, true)
+			_ = x.write(conn, worker.MsgShutdown, nil)
 			return nil
 		case worker.MsgError:
 			return fatalError{fmt.Errorf("fabric: coordinator aborted: %s", payload)}

@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"reflect"
 	"regexp"
+	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -375,12 +377,22 @@ func TestFabricSharedNameSeries(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	joinErr := make(chan error, 2)
+	// Each executor logs the name the coordinator's welcome gave it.
+	var readyMu sync.Mutex
+	var ready []string
 	join := func() {
 		joinErr <- Join(ctx, coord.Addr().String(), ExecutorOptions{
 			Name:       "twin",
 			Workers:    2,
 			Batch:      inProcFactory(fakeFactory(units, 0), 2),
 			Federation: NewFederation(nil, nil),
+			Log: func(format string, args ...any) {
+				if line := fmt.Sprintf(format, args...); strings.HasPrefix(line, "fabric: ready as ") {
+					readyMu.Lock()
+					ready = append(ready, line)
+					readyMu.Unlock()
+				}
+			},
 		})
 	}
 	// Stagger the joins so registration order is known: the second
@@ -428,6 +440,10 @@ func TestFabricSharedNameSeries(t *testing.T) {
 	}
 	if !reflect.DeepEqual(names, want) {
 		t.Fatalf("Hosts() names %q, want %q in registration order", names, want)
+	}
+	sort.Strings(ready)
+	if len(ready) != 2 || !strings.HasPrefix(ready[0], `fabric: ready as "twin":`) || !strings.HasPrefix(ready[1], `fabric: ready as "twin#1":`) {
+		t.Fatalf("executors logged %q, want one ready as %q and one as %q", ready, want[0], want[1])
 	}
 
 	counts := reg.Counters()
@@ -480,6 +496,65 @@ func TestIngestSnapshotExposition(t *testing.T) {
 	for _, line := range strings.Split(strings.TrimSuffix(sb.String(), "\n"), "\n") {
 		if !sample.MatchString(line) && !typeLine.MatchString(line) {
 			t.Errorf("exposition line does not parse: %q", line)
+		}
+	}
+}
+
+// TestFabricGoodbyeReceipt runs a federated two-executor loopback campaign
+// 50 times, and each Run must return within one heartbeat interval of its
+// last verdict. An executor answers the coordinator's shutdown with a
+// receipt before it hangs up, and the receipt releases its session however
+// the close then reads — a close with coordinator frames still unread
+// resets the connection, which alone would hold the session until the
+// heartbeat timeout.
+func TestFabricGoodbyeReceipt(t *testing.T) {
+	const units, hosts, rounds = 40, 2, 50
+	const interval = 100 * time.Millisecond
+	for round := 0; round < rounds; round++ {
+		coord, err := NewCoordinator(CoordinatorOptions{
+			Addr:              "127.0.0.1:0",
+			MinHosts:          hosts,
+			Spec:              testSpec(),
+			Units:             units,
+			HeartbeatInterval: interval,
+			HeartbeatTimeout:  2 * time.Second,
+			SessionTimeout:    150 * time.Millisecond,
+			Quarantine:        journal.Outcome{Mode: 9},
+			Registry:          telemetry.NewRegistry(),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		joinErr := make(chan error, hosts)
+		for i := 0; i < hosts; i++ {
+			go func() {
+				joinErr <- Join(ctx, coord.Addr().String(), ExecutorOptions{
+					Name:               fmt.Sprintf("exec-%d", i),
+					Workers:            2,
+					Batch:              inProcFactory(fakeFactory(units, 0), 2),
+					Federation:         NewFederation(nil, nil),
+					FederationInterval: time.Millisecond,
+				})
+			}()
+		}
+		var last time.Time
+		err = coord.Run(context.Background(), seqIndices(units), func(worker.Result) error {
+			last = time.Now()
+			return nil
+		})
+		lag := time.Since(last)
+		if err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		for i := 0; i < hosts; i++ {
+			if err := <-joinErr; err != nil {
+				t.Fatalf("round %d: executor join: %v", round, err)
+			}
+		}
+		cancel()
+		if lag > interval {
+			t.Errorf("round %d: Run returned %v after its last verdict, want within %v", round, lag, interval)
 		}
 	}
 }

@@ -23,7 +23,7 @@
 // keeps the scheduling policy simple — nothing needs distributed consensus,
 // only the coordinator's single-threaded event loop.
 //
-// The wire protocol is internal/worker's (version 4): the same CRC frames
+// The wire protocol is internal/worker's (version 5): the same CRC frames
 // (length u32 | type u8 | payload | crc32 u32), the same hello, ready,
 // verdict, heartbeat, shutdown and error messages, one numbering and one
 // ProtocolVersion, so a poisoned frame severs the connection for
@@ -36,7 +36,7 @@
 //
 //	assign    runs u32 | (start u32 | count u32)*
 //	revoke    runs u32 | (start u32 | count u32)*
-//	welcome   token u64 | resumed u8 | acked u32
+//	welcome   token u64 | resumed u8 | acked u32 | name-len u16 | name
 //	ack       seq u32
 //	telemetry sent-us i64 | count u32 |
 //	          (name-len u16 | name | value u64)*
@@ -47,7 +47,9 @@
 //	           detail-len u16 | detail)*
 //
 // Heartbeats flow in both directions; shutdown tells an executor the
-// campaign is complete; an error frame from either side aborts it.
+// campaign is complete, and the executor answers it with a shutdown of its
+// own, the receipt that releases its session; an error frame from either
+// side aborts the campaign.
 //
 // The coordinator opens with hello; the executor answers ready after
 // re-planning, echoing the negotiated version and the plan fingerprint it
@@ -57,8 +59,10 @@
 // its running batch, or answered with the verdict awaiting an ack). The
 // coordinator answers ready with welcome: the session token to present next
 // time, whether the session resumed (an existing session's assignments
-// survive the reconnect), and the highest verdict sequence number it has
-// processed, which lets the executor prune its retransmit buffer. A
+// survive the reconnect), the highest verdict sequence number it has
+// processed, which lets the executor prune its retransmit buffer, and the
+// session's name — the executor's own unless another roster row holds it
+// already (see newSession), so the executor's logs match the coordinator's. A
 // coordinator that does not know the token — it was restarted, or it
 // expired the session — adopts the session under that token with the
 // claimed units, so the one crash-safe log a campaign keeps is its verdict
@@ -110,15 +114,17 @@ const (
 
 // welcome is the coordinator's answer to ready: the session identity the
 // executor keeps across reconnects, whether an existing session's
-// assignments survived, and the retransmit-buffer watermark.
+// assignments survived, the retransmit-buffer watermark, and the name the
+// coordinator knows the session by.
 type welcome struct {
 	Token   uint64
 	Resumed bool
 	Acked   uint32
+	Name    string
 }
 
 func encodeWelcome(w welcome) []byte {
-	buf := make([]byte, 0, 13)
+	buf := make([]byte, 0, 15+len(w.Name))
 	buf = binary.LittleEndian.AppendUint64(buf, w.Token)
 	if w.Resumed {
 		buf = append(buf, 1)
@@ -126,17 +132,23 @@ func encodeWelcome(w welcome) []byte {
 		buf = append(buf, 0)
 	}
 	buf = binary.LittleEndian.AppendUint32(buf, w.Acked)
-	return buf
+	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(w.Name)))
+	return append(buf, w.Name...)
 }
 
 func decodeWelcome(b []byte) (welcome, error) {
 	var w welcome
-	if len(b) != 13 {
-		return w, fmt.Errorf("fabric: welcome frame is %d bytes, want 13", len(b))
+	if len(b) < 15 {
+		return w, fmt.Errorf("fabric: welcome frame is %d bytes, want at least 15", len(b))
 	}
 	w.Token = binary.LittleEndian.Uint64(b[0:8])
 	w.Resumed = b[8] != 0
 	w.Acked = binary.LittleEndian.Uint32(b[9:13])
+	nn := int(binary.LittleEndian.Uint16(b[13:15]))
+	if len(b) != 15+nn {
+		return w, fmt.Errorf("fabric: welcome name length %d, frame holds %d", nn, len(b)-15)
+	}
+	w.Name = string(b[15:])
 	return w, nil
 }
 

@@ -73,7 +73,7 @@ func TestReadyRoundTrip(t *testing.T) {
 func TestWelcomeRoundTrip(t *testing.T) {
 	for _, in := range []welcome{
 		{Token: 1},
-		{Token: 0xdead0001, Resumed: true, Acked: 977},
+		{Token: 0xdead0001, Resumed: true, Acked: 977, Name: "twin#1"},
 	} {
 		out, err := decodeWelcome(encodeWelcome(in))
 		if err != nil {
@@ -85,6 +85,29 @@ func TestWelcomeRoundTrip(t *testing.T) {
 	}
 	if _, err := decodeWelcome(encodeWelcome(welcome{Token: 9})[:12]); err == nil {
 		t.Fatal("decodeWelcome accepted a short frame")
+	}
+	named := encodeWelcome(welcome{Token: 9, Name: "host-b"})
+	if _, err := decodeWelcome(named[:len(named)-1]); err == nil {
+		t.Fatal("decodeWelcome accepted a frame truncated in the name")
+	}
+	if _, err := decodeWelcome(append(named, 'x')); err == nil {
+		t.Fatal("decodeWelcome accepted bytes past the name")
+	}
+}
+
+// TestCheckPeerRejectsVersion4: version 5 carries the welcome's name and
+// the shutdown receipt, so a version-4 peer's ready decodes to its version
+// alone and the handshake check refuses it.
+func TestCheckPeerRejectsVersion4(t *testing.T) {
+	rd, err := worker.DecodeReady(worker.EncodeReady(worker.Ready{Version: 4, Fingerprint: 7, Name: "old"}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rd.Version != 4 {
+		t.Fatalf("decoded version %d, want 4", rd.Version)
+	}
+	if err := worker.CheckPeer(rd.Version, rd.Fingerprint, 0); err == nil {
+		t.Fatal("CheckPeer accepted a version-4 peer")
 	}
 }
 
@@ -189,6 +212,7 @@ func FuzzDecoders(f *testing.F) {
 	f.Add(worker.EncodeReady(worker.Ready{Version: worker.ProtocolVersion, Token: 7, Name: "n"}))
 	f.Add(worker.EncodeVerdict(worker.Verdict{Seq: 5, Unit: 3, Last: true, Payload: []byte("out")}))
 	f.Add(encodeWelcome(welcome{Token: 12, Resumed: true, Acked: 44}))
+	f.Add(encodeWelcome(welcome{Token: 12, Acked: 44, Name: "twin#1"}))
 	f.Add(encodeAck(99))
 	f.Add(worker.EncodeReady(worker.Ready{Version: worker.ProtocolVersion, Units: 128, Name: "n", Claimed: encodeRuns(nil)}))
 	f.Add(worker.EncodeReady(worker.Ready{Version: worker.ProtocolVersion, Units: 128, Token: 7, Name: "n", Claimed: encodeRuns([]int{0, 1, 2, 9, 10})}))

@@ -31,9 +31,10 @@ import (
 // only ever uses the count as "applied at least once", and over the golden
 // record that boolean is already known before the run (the injected run's
 // prefix is fault-free, so the trigger address is reached if and only if the
-// golden run reached it). ArmLean is therefore only correct to use when the
-// caller derives activation from a golden record; RunWithFault and the §5
-// experiments, which report exact counts, must keep using Arm.
+// golden run reached it). ArmLean is therefore only for callers that do not
+// consume exact activation counts — the executor, whose campaigns and
+// emulation studies derive activation from a golden record or not at all.
+// A caller that reports exact counts must use Arm.
 
 // ArmLean arms f on m with the campaign-specialised fast paths when the
 // fault shape allows it, reporting whether it did. When it returns false the

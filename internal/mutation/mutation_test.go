@@ -1,6 +1,7 @@
 package mutation_test
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -90,7 +91,8 @@ func TestOperatorMutantsSkipsConnectives(t *testing.T) {
 // TestMutationInjectionEquivalence is the abstraction-gap theorem of the
 // reproduction: for operator error types, compiling the bug into the
 // source and injecting it into the correct binary are behaviourally
-// indistinguishable, run by run.
+// indistinguishable, run by run. The study must also be deep-equal at 1
+// and 4 workers.
 func TestMutationInjectionEquivalence(t *testing.T) {
 	nCases := 12
 	if testing.Short() {
@@ -101,9 +103,16 @@ func TestMutationInjectionEquivalence(t *testing.T) {
 		if !ok {
 			t.Fatal(name)
 		}
-		res, err := mutation.Study(p, 6, nCases, 7)
+		res, err := mutation.Study(p, 6, nCases, 7, 1)
 		if err != nil {
 			t.Fatal(err)
+		}
+		wide, err := mutation.Study(p, 6, nCases, 7, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(res, wide) {
+			t.Errorf("%s: study differs between 1 and 4 workers:\nserial: %+v\nwide:   %+v", name, res, wide)
 		}
 		if res.Pairs == 0 {
 			t.Fatalf("%s: no mutant/injection pairs", name)

@@ -8,7 +8,6 @@ import (
 	"repro/internal/injector"
 	"repro/internal/locator"
 	"repro/internal/programs"
-	"repro/internal/vm"
 	"repro/internal/workload"
 )
 
@@ -33,8 +32,10 @@ type PairCount struct {
 // source-level mutant of each operator error type against the machine-level
 // injection of the same error type into the unmutated binary. Perfect
 // emulation means every paired run is identical — which is exactly what
-// the §5 methodology claims for checking faults.
-func Study(p *programs.Program, nLocs, nCases int, seed int64) (*StudyResult, error) {
+// the §5 methodology claims for checking faults. The (mutant, injection)
+// pairs run through campaign.CompareEmulations over workers (0 selects
+// runtime.GOMAXPROCS(0)); the result is identical for any worker count.
+func Study(p *programs.Program, nLocs, nCases int, seed int64, workers int) (*StudyResult, error) {
 	c, err := p.Compile()
 	if err != nil {
 		return nil, err
@@ -47,6 +48,7 @@ func Study(p *programs.Program, nLocs, nCases int, seed int64) (*StudyResult, er
 		Program: p.Name,
 		PerType: make(map[fault.ErrType]*PairCount),
 	}
+	var pairs []campaign.EmulationPair
 	chosen := locator.ChooseLocations(len(c.Debug.Checks), nLocs, seed)
 	for _, li := range chosen {
 		ck := c.Debug.Checks[li]
@@ -76,29 +78,25 @@ func Study(p *programs.Program, nLocs, nCases int, seed int64) (*StudyResult, er
 			if err != nil {
 				return nil, err
 			}
-			res.Pairs++
-			for ci := range cases {
-				mutRun, err := campaign.RunClean(mc, cases[ci].Input, cases[ci].Golden, vm.DefaultMaxCycles)
-				if err != nil {
-					return nil, err
-				}
-				injRun, err := campaign.RunWithFault(c, cases[ci].Input, cases[ci].Golden, inj, injector.ModeHardware, vm.DefaultMaxCycles)
-				if err != nil {
-					return nil, err
-				}
-				res.Runs++
-				pc := res.PerType[m.ErrType]
-				if pc == nil {
-					pc = &PairCount{}
-					res.PerType[m.ErrType] = pc
-				}
-				pc.Total++
-				if mutRun.Mode == injRun.Mode && mutRun.Output == injRun.Output {
-					res.Equivalent++
-					pc.Equivalent++
-				}
-			}
+			pairs = append(pairs, campaign.EmulationPair{Ref: mc, Fault: inj})
 		}
+	}
+	reps, err := campaign.CompareEmulations(c, pairs, injector.ModeHardware, cases, workers)
+	if err != nil {
+		return nil, err
+	}
+	res.Pairs = len(pairs)
+	for i, rep := range reps {
+		et := pairs[i].Fault.ErrType
+		pc := res.PerType[et]
+		if pc == nil {
+			pc = &PairCount{}
+			res.PerType[et] = pc
+		}
+		pc.Total += rep.Cases
+		pc.Equivalent += rep.Equivalent
+		res.Runs += rep.Cases
+		res.Equivalent += rep.Equivalent
 	}
 	return res, nil
 }

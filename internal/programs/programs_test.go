@@ -80,12 +80,12 @@ func runCases(t *testing.T, p *programs.Program, faulty bool, cases []workload.C
 	if err != nil {
 		t.Fatal(err)
 	}
+	results, err := campaign.RunCleanBatch(compiled, cases, vm.DefaultMaxCycles, 0)
+	if err != nil {
+		t.Fatalf("%s: %v", p.Name, err)
+	}
 	counts := map[campaign.FailureMode]int{}
-	for i := range cases {
-		res, err := campaign.RunClean(compiled, cases[i].Input, cases[i].Golden, vm.DefaultMaxCycles)
-		if err != nil {
-			t.Fatalf("%s case %d: %v", p.Name, i, err)
-		}
+	for i, res := range results {
 		if res.Mode == campaign.Incorrect && !faulty {
 			t.Fatalf("%s (corrected) wrong on case %d:\ninput %v\ngot %q\nwant %q",
 				p.Name, i, cases[i].Input.Ints, truncate(res.Output), truncate(cases[i].Golden))

@@ -19,7 +19,7 @@
 // ProtocolVersion serve both transports; the fabric adds its own messages
 // (assign, revoke, welcome, ack, telemetry, trace) from MsgFabric on.
 //
-// The wire protocol, version 4 (all integers little-endian):
+// The wire protocol, version 5 (all integers little-endian):
 //
 //	frame    length u32 | type u8 | payload | crc32 u32
 //	         (length counts type+payload+crc; crc32 is IEEE over type+payload)
@@ -81,7 +81,7 @@ const (
 	// ProtocolVersion is the frame-format version sent in hello and echoed
 	// in ready, so a mixed-build pair on either transport fails the
 	// handshake instead of mis-parsing frames.
-	ProtocolVersion = 4
+	ProtocolVersion = 5
 
 	// MaxFrame bounds any frame's length prefix. A frame claiming more is
 	// garbage (a worker writing junk to stdout, a supervisor reading from
@@ -346,7 +346,7 @@ func DecodeReady(b []byte) (Ready, error) {
 // peerVersion reads the version that leads every hello and ready payload
 // and reports whether it is this build's. The rest of a foreign version's
 // layout is not this build's to parse, so its decoders stop at the version
-// and leave the diagnosis to CheckPeer: "speaks protocol version 5", not a
+// and leave the diagnosis to CheckPeer: "speaks protocol version 4", not a
 // length error.
 func peerVersion(b []byte) (uint16, bool) {
 	if len(b) < 2 {
