@@ -10,50 +10,25 @@ package repro
 //	REPRO_BENCH_SCALE=1.0 go test -bench=BenchmarkFigure7 -timeout 24h
 //
 // Absolute run counts are scaled by REPRO_BENCH_SCALE (default 0.01 of the
-// paper's sizes); the qualitative findings hold at any scale.
+// paper's sizes); the qualitative findings hold at any scale. The VM engine
+// and compiler benchmarks at the end time single layers. Campaign throughput
+// is measured by perfbench (perfbench/README.md), not here.
 
 import (
-	"context"
-	"fmt"
-	"io"
-	"net"
 	"os"
-	"os/exec"
-	"path/filepath"
-	"runtime"
 	"strconv"
-	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/campaign"
 	"repro/internal/cc"
-	"repro/internal/chaos"
 	"repro/internal/fault"
 	"repro/internal/injector"
-	"repro/internal/journal"
 	"repro/internal/locator"
 	"repro/internal/metrics"
 	"repro/internal/programs"
-	"repro/internal/telemetry"
 	"repro/internal/vm"
-	"repro/internal/worker"
 	"repro/internal/workload"
 )
-
-// TestMain lets the bench binary serve as its own campaign worker: the
-// proc-isolation benchmark re-executes this binary with REPRO_BENCH_WORKER
-// set, exactly as swifi re-executes itself with -worker-mode.
-func TestMain(m *testing.M) {
-	if os.Getenv("REPRO_BENCH_WORKER") == "1" {
-		if err := worker.Serve(os.Stdin, os.Stdout, campaign.WorkerFactory); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		os.Exit(0)
-	}
-	os.Exit(m.Run())
-}
 
 // benchScale reads the scale factor for benchmark workloads.
 func benchScale() float64 {
@@ -142,413 +117,6 @@ func BenchmarkTable4(b *testing.B) {
 		}
 		b.ReportMetric(float64(total), "faults")
 	}
-}
-
-// BenchmarkTable4Parallel executes the Table 4 campaign (both classes, all
-// eight programs) at bench scale across worker counts — the wall-clock and
-// allocation trajectory of the campaign executor. The straight sub-benchmark
-// disables golden-run checkpointing (reboot + full replay per injection,
-// the pre-checkpoint executor); the workers=N sub-benchmarks use the
-// checkpointed fast path. The campaign Result is bit-identical across all
-// sub-benchmarks (the determinism and fast-forward equivalence tests assert
-// this), so time/op and allocs/op are the only things that move.
-func BenchmarkTable4Parallel(b *testing.B) {
-	run := func(b *testing.B, workers int, noFFwd bool) {
-		b.ReportAllocs()
-		cfg := campaignCfg([]fault.Class{fault.ClassAssignment, fault.ClassChecking},
-			"C.team1", "C.team2", "C.team8", "C.team9", "C.team10", "JB.team6", "JB.team11", "SOR")
-		cfg.Workers = workers
-		cfg.NoFastForward = noFFwd
-		for i := 0; i < b.N; i++ {
-			res, err := campaign.Run(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportMetric(float64(res.Runs), "runs")
-		}
-	}
-	b.Run("straight", func(b *testing.B) { run(b, 1, true) })
-	counts := []int{1, 4, runtime.GOMAXPROCS(0)}
-	seen := map[int]bool{}
-	for _, w := range counts {
-		if seen[w] {
-			continue
-		}
-		seen[w] = true
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) { run(b, w, false) })
-	}
-}
-
-// BenchmarkTable4ProcIsolation prices the out-of-process worker sandbox: the
-// same Table 4 campaign once with in-process goroutine workers and once with
-// supervised worker subprocesses (the bench binary re-executing itself, the
-// swifi -isolation=proc path). Both produce bit-identical Results — the
-// proc/inproc time-per-op ratio is the IPC + supervision overhead, which the
-// DESIGN.md budget caps at 15%.
-func BenchmarkTable4ProcIsolation(b *testing.B) {
-	run := func(b *testing.B, proc bool) {
-		b.ReportAllocs()
-		cfg := campaignCfg([]fault.Class{fault.ClassAssignment, fault.ClassChecking},
-			"C.team1", "C.team2", "C.team8", "C.team9", "C.team10", "JB.team6", "JB.team11", "SOR")
-		cfg.Workers = 4
-		if proc {
-			cfg.Isolation = campaign.IsolationProc
-			cfg.Proc = &campaign.ProcOptions{
-				Spawn: func() *exec.Cmd {
-					cmd := exec.Command(os.Args[0])
-					cmd.Env = append(os.Environ(), "REPRO_BENCH_WORKER=1")
-					cmd.Stderr = os.Stderr
-					return cmd
-				},
-				HeartbeatInterval: 100 * time.Millisecond,
-			}
-		}
-		for i := 0; i < b.N; i++ {
-			res, err := campaign.Run(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportMetric(float64(res.Runs), "runs")
-		}
-	}
-	b.Run("inproc", func(b *testing.B) { run(b, false) })
-	b.Run("proc", func(b *testing.B) { run(b, true) })
-}
-
-// benchLoopbackAddr reserves a loopback port for a bench coordinator.
-func benchLoopbackAddr(b *testing.B) string {
-	b.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	addr := ln.Addr().String()
-	ln.Close()
-	return addr
-}
-
-// BenchmarkTable4Fabric runs the Table 4 campaign through the distributed
-// fabric with 1, 2 and 4 loopback executors. Every executor is paced to a
-// fixed per-unit service time (fabricUnitPace), because all executors here
-// share one machine's CPU: unpaced, N loopback executors can never beat one
-// on CPU-bound work, which says nothing about the fabric. Pacing models N
-// independent hosts of equal capacity, so the measured speedup is exactly
-// what the fabric layer contributes — sharding, work stealing and merge
-// concurrency — and its shortfall from N is the fabric's scheduling plus
-// coordination overhead. scripts/bench.sh derives the scaling-efficiency
-// labels in BENCH_<tag>.json from the executors=1/2 ratio.
-func BenchmarkTable4Fabric(b *testing.B) {
-	const fabricUnitPace = 60 * time.Millisecond
-	cfg := campaignCfg([]fault.Class{fault.ClassAssignment, fault.ClassChecking},
-		"C.team1", "C.team2", "C.team8", "C.team9", "C.team10", "JB.team6", "JB.team11", "SOR")
-	// Warm the process-wide stores (workloads, calibration, goldens) once so
-	// no sub-benchmark pays the one-time cost for the others.
-	if _, err := campaign.Run(cfg); err != nil {
-		b.Fatal(err)
-	}
-	join := func(ctx context.Context, addr, name string) {
-		// The coordinator binds only after planning; retry until it is up.
-		for ctx.Err() == nil {
-			err := campaign.JoinFabric(ctx, addr, campaign.JoinOptions{
-				Name:     name,
-				Workers:  1,
-				UnitPace: fabricUnitPace,
-			})
-			if err == nil {
-				return
-			}
-			time.Sleep(10 * time.Millisecond)
-		}
-	}
-	for _, hosts := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("executors=%d", hosts), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				addr := benchLoopbackAddr(b)
-				ctx, cancel := context.WithCancel(context.Background())
-				var wg sync.WaitGroup
-				for h := 0; h < hosts; h++ {
-					wg.Add(1)
-					go func(name string) {
-						defer wg.Done()
-						join(ctx, addr, name)
-					}(fmt.Sprintf("bench-exec-%d", h))
-				}
-				fcfg := cfg
-				fcfg.Fabric = &campaign.FabricOptions{
-					Listen:            addr,
-					MinHosts:          hosts,
-					HeartbeatInterval: 100 * time.Millisecond,
-					HeartbeatTimeout:  10 * time.Second,
-				}
-				res, err := campaign.Run(fcfg)
-				cancel()
-				wg.Wait()
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(float64(res.Runs), "runs")
-				b.ReportMetric(fabricUnitPace.Seconds()*1e3, "pace-ms/unit")
-			}
-		})
-	}
-}
-
-// BenchmarkTable4DiskChaos prices the storage-chaos plane on the journaled
-// Table 4 campaign. "off" journals with no chaos anywhere near the write
-// path; "overhead" interleaves an off leg and a disabled-injector leg per
-// iteration — the injector threaded through the exact seams the CLIs use
-// (journal wrap hook, checkpoint poison hook), which must collapse to
-// pass-throughs — and reports their paired wall-clock ratio as
-// "overhead-ratio", the number DESIGN.md §5j budgets at ≤2%. The pairing
-// matters: the two legs are near-identical code, so timing them as
-// separate sub-benchmarks measures machine drift, not the plane. "chaos"
-// injects disk faults at the smoke-test rates, pricing degradation and
-// the completion-time recovery rewrite. Checkpoint poison is deliberately
-// absent: poisoned records would linger in the process-wide golden store
-// and contaminate every benchmark that runs after this one.
-func BenchmarkTable4DiskChaos(b *testing.B) {
-	base := campaignCfg([]fault.Class{fault.ClassAssignment, fault.ClassChecking},
-		"C.team1", "C.team2", "C.team8", "C.team9", "C.team10", "JB.team6", "JB.team11", "SOR")
-	base.Workers = 4
-	// Warm the process-wide stores once so no sub-benchmark pays the
-	// one-time cost for the others.
-	if _, err := campaign.Run(base); err != nil {
-		b.Fatal(err)
-	}
-	once := func(b *testing.B, cfg campaign.Config, inj *chaos.Chaos, path string) time.Duration {
-		// The CLI's gate: no disk faults, no wrapper.
-		j, err := journal.CreateWrapped(path, campaign.JournalWrap(inj))
-		if err != nil {
-			b.Fatal(err)
-		}
-		cfg.Journal = j
-		cfg.StorageChaos = inj
-		start := time.Now()
-		res, err := campaign.Run(cfg)
-		elapsed := time.Since(start)
-		if err != nil {
-			b.Fatal(err)
-		}
-		j.Close()
-		b.ReportMetric(float64(res.Runs), "runs")
-		return elapsed
-	}
-	run := func(b *testing.B, inj *chaos.Chaos) {
-		b.ReportAllocs()
-		dir := b.TempDir()
-		for i := 0; i < b.N; i++ {
-			once(b, base, inj, filepath.Join(dir, fmt.Sprintf("bench-%d.wal", i)))
-		}
-	}
-	b.Run("off", func(b *testing.B) { run(b, nil) })
-	b.Run("overhead", func(b *testing.B) {
-		// The disabled-injector delta lives in per-write/per-unit hook
-		// checks, which a two-program campaign exercises exactly as the
-		// headline legs do — and short legs let many alternating blocks
-		// average away this machine's large, non-linear throughput noise.
-		// Each block times the legs in mirrored ABBA order and consecutive
-		// blocks flip polarity, so no position in the run systematically
-		// favors either side.
-		small := campaignCfg([]fault.Class{fault.ClassAssignment}, "C.team1", "SOR")
-		small.Workers = 4
-		if _, err := campaign.Run(small); err != nil { // warm small golden runs
-			b.Fatal(err)
-		}
-		dir := b.TempDir()
-		var off, disabled time.Duration
-		leg := 0
-		offLeg := func() {
-			off += once(b, small, nil, filepath.Join(dir, fmt.Sprintf("off-%d.wal", leg)))
-			leg++
-		}
-		disabledLeg := func() {
-			disabled += once(b, small, chaos.New(chaos.Config{Seed: 11}, nil),
-				filepath.Join(dir, fmt.Sprintf("disabled-%d.wal", leg)))
-			leg++
-		}
-		for i := 0; i < b.N; i++ {
-			for blk := 0; blk < 4; blk++ {
-				if blk%2 == 0 {
-					offLeg()
-					disabledLeg()
-					disabledLeg()
-					offLeg()
-				} else {
-					disabledLeg()
-					offLeg()
-					offLeg()
-					disabledLeg()
-				}
-			}
-		}
-		b.ReportMetric(float64(disabled)/float64(off), "overhead-ratio")
-	})
-	b.Run("chaos", func(b *testing.B) {
-		// The degraded-journal warnings print to stderr mid-iteration and
-		// `go test` interleaves them into the benchmark output, tearing the
-		// result line away from its numbers; silence them for the artifact.
-		null, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		old := os.Stderr
-		os.Stderr = null
-		defer func() {
-			os.Stderr = old
-			null.Close()
-		}()
-		run(b, chaos.New(chaos.Config{
-			Seed:           11,
-			DiskENOSPC:     0.01,
-			DiskShortWrite: 0.005,
-			DiskTornWrite:  0.005,
-			DiskSyncFail:   0.01,
-		}, nil))
-	})
-}
-
-// BenchmarkTable4Federation prices the fleet-telemetry federation plane on
-// a loopback fabric campaign: the same coordinator+executor run once with
-// federation on (the default — the executor pushes snapshot and trace
-// frames on every heartbeat and the coordinator republishes them as
-// host-labeled series) and once with JoinOptions.NoFederation. Both legs
-// produce bit-identical campaign Results (the federation plane never
-// touches the verdict path), so the paired wall-clock ratio is the whole
-// cost of the plane — frame encode, CRC, loopback write, coordinator
-// ingest. Legs are timed in mirrored ABBA blocks with alternating polarity,
-// exactly as BenchmarkTable4DiskChaos does, because the two legs are
-// near-identical code and separate sub-benchmarks would measure machine
-// drift instead. scripts/bench.sh turns the reported overhead-ratio into
-// the federation_disabled_overhead label in BENCH_<tag>.json; DESIGN.md
-// §5k budgets it at ≤2%. The 20ms heartbeat with a matching
-// FederationInterval is deliberately aggressive — ~50x the default 1s push
-// cadence — so the measured ratio is an upper bound.
-func BenchmarkTable4Federation(b *testing.B) {
-	cfg := campaignCfg([]fault.Class{fault.ClassAssignment}, "C.team1", "SOR")
-	// Warm the process-wide stores once so neither leg pays one-time costs.
-	if _, err := campaign.Run(cfg); err != nil {
-		b.Fatal(err)
-	}
-	// The coordinator announces executor attach on stderr every leg, and
-	// `go test` interleaves stderr into the benchmark output, tearing the
-	// result line away from its numbers (the Table4DiskChaos/chaos problem);
-	// silence it for the artifact.
-	null, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	old := os.Stderr
-	os.Stderr = null
-	defer func() {
-		os.Stderr = old
-		null.Close()
-	}()
-	once := func(b *testing.B, noFed bool) time.Duration {
-		addr := benchLoopbackAddr(b)
-		ctx, cancel := context.WithCancel(context.Background())
-		defer cancel()
-		var wg sync.WaitGroup
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// The coordinator binds only after planning; retry until it is up.
-			for ctx.Err() == nil {
-				err := campaign.JoinFabric(ctx, addr, campaign.JoinOptions{
-					Name:               "bench-fed",
-					Workers:            1,
-					NoFederation:       noFed,
-					FederationInterval: 20 * time.Millisecond,
-				})
-				if err == nil {
-					return
-				}
-				time.Sleep(10 * time.Millisecond)
-			}
-		}()
-		fcfg := cfg
-		fcfg.Fabric = &campaign.FabricOptions{
-			Listen:            addr,
-			MinHosts:          1,
-			HeartbeatInterval: 20 * time.Millisecond,
-			HeartbeatTimeout:  10 * time.Second,
-		}
-		start := time.Now()
-		res, err := campaign.Run(fcfg)
-		elapsed := time.Since(start)
-		cancel()
-		wg.Wait()
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(res.Runs), "runs")
-		return elapsed
-	}
-	b.ReportAllocs()
-	var on, off time.Duration
-	for i := 0; i < b.N; i++ {
-		for blk := 0; blk < 4; blk++ {
-			if blk%2 == 0 {
-				on += once(b, false)
-				off += once(b, true)
-				off += once(b, true)
-				on += once(b, false)
-			} else {
-				off += once(b, true)
-				on += once(b, false)
-				on += once(b, false)
-				off += once(b, true)
-			}
-		}
-	}
-	b.ReportMetric(float64(on)/float64(off), "overhead-ratio")
-}
-
-// BenchmarkTable4Telemetry prices the observability layer on the Table 4
-// campaign (both classes, all eight programs, 4 workers): telemetry off
-// (the nil fast path every plane short-circuits on), the metric registry
-// plus a non-TTY progress surface (the swifi default on a terminal), and
-// additionally the full trace firehose into a discarded JSONL sink. The
-// Result is bit-identical across all three (asserted by the property tests
-// in internal/campaign); the DESIGN.md budget caps metrics+progress at 2%
-// over off.
-func BenchmarkTable4Telemetry(b *testing.B) {
-	run := func(b *testing.B, tel func() *telemetry.Telemetry) {
-		b.ReportAllocs()
-		cfg := campaignCfg([]fault.Class{fault.ClassAssignment, fault.ClassChecking},
-			"C.team1", "C.team2", "C.team8", "C.team9", "C.team10", "JB.team6", "JB.team11", "SOR")
-		cfg.Workers = 4
-		for i := 0; i < b.N; i++ {
-			cfg.Telemetry = tel()
-			res, err := campaign.Run(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportMetric(float64(res.Runs), "runs")
-		}
-	}
-	b.Run("off", func(b *testing.B) {
-		run(b, func() *telemetry.Telemetry { return nil })
-	})
-	b.Run("metrics+progress", func(b *testing.B) {
-		run(b, func() *telemetry.Telemetry {
-			return &telemetry.Telemetry{
-				Reg:      telemetry.NewRegistry(),
-				Progress: telemetry.NewProgress(io.Discard, false, 0),
-			}
-		})
-	})
-	b.Run("metrics+progress+trace", func(b *testing.B) {
-		run(b, func() *telemetry.Telemetry {
-			tr := telemetry.NewTracer(telemetry.DefaultTraceCap)
-			tr.SinkJSONL(io.Discard)
-			return &telemetry.Telemetry{
-				Reg:      telemetry.NewRegistry(),
-				Trace:    tr,
-				Progress: telemetry.NewProgress(io.Discard, false, 0),
-			}
-		})
-	})
 }
 
 // benchCampaign runs a one-class campaign and reports the share of correct
@@ -760,31 +328,6 @@ func BenchmarkAblationMetricGuided(b *testing.B) {
 			b.ReportMetric(float64(hits)/float64(b.N*8), "share-in-main")
 		})
 	}
-}
-
-// BenchmarkVMThroughput measures simulator speed on a clean Camelot run
-// through the pooled clean-run path, machine set-up and classification
-// included (instructions per second drive every experiment's wall-clock).
-func BenchmarkVMThroughput(b *testing.B) {
-	p, _ := programs.ByName("C.team1")
-	c, err := p.Compile()
-	if err != nil {
-		b.Fatal(err)
-	}
-	cases, err := workload.Generate(p.Kind, 1, 7)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var cycles uint64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := campaign.RunCleanBatch(c, cases, vm.DefaultMaxCycles, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		cycles += res[0].Cycles
-	}
-	b.ReportMetric(float64(cycles)/b.Elapsed().Seconds()/1e6, "Minstr/s")
 }
 
 // benchVMThroughput drives the VM directly (Load once, Reset per run) so

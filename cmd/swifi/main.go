@@ -126,6 +126,9 @@ func run(args []string) error {
 	if *procMaxRestarts < 0 {
 		return fmt.Errorf("-proc-max-restarts must not be negative, got %d (0 picks the default)", *procMaxRestarts)
 	}
+	if err := validateIsolationFlags(fs, procIsolation, fab.Listen != ""); err != nil {
+		return err
+	}
 	if err := hb.Validate(); err != nil {
 		return err
 	}
@@ -174,6 +177,15 @@ func run(args []string) error {
 	// the proc-isolation pipes, so every plane draws from the same seed.
 	// nil unless the spec carries disk.*, pipe.* or poison keys.
 	storageChaos := campaign.StorageInjector(chaosCfg, tel.Registry())
+	var proc *campaign.ProcOptions
+	if procIsolation {
+		proc = &campaign.ProcOptions{
+			HeartbeatInterval: hb.Interval,
+			HeartbeatTimeout:  hb.Timeout,
+			MaxDeliveries:     *procMaxDeliveries,
+			MaxRestarts:       *procMaxRestarts,
+		}
+	}
 
 	if fab.Join != "" {
 		// Executor mode: everything about the campaign — programs, scale,
@@ -191,13 +203,7 @@ func run(args []string) error {
 			},
 		}
 		if procIsolation {
-			jo.Isolation = campaign.IsolationProc
-			jo.Proc = &campaign.ProcOptions{
-				HeartbeatInterval: hb.Interval,
-				HeartbeatTimeout:  hb.Timeout,
-				MaxDeliveries:     *procMaxDeliveries,
-				MaxRestarts:       *procMaxRestarts,
-			}
+			jo.Isolation, jo.Proc = campaign.IsolationProc, proc
 		}
 		return campaign.JoinFabric(ctx, fab.Join, jo)
 	}
@@ -211,13 +217,7 @@ func run(args []string) error {
 	e.Telemetry = tel
 	e.StorageChaos = storageChaos
 	if procIsolation {
-		e.Isolation = campaign.IsolationProc
-		e.Proc = &campaign.ProcOptions{
-			HeartbeatInterval: hb.Interval,
-			HeartbeatTimeout:  hb.Timeout,
-			MaxDeliveries:     *procMaxDeliveries,
-			MaxRestarts:       *procMaxRestarts,
-		}
+		e.Isolation, e.Proc = campaign.IsolationProc, proc
 	}
 	if fab.Listen != "" {
 		e.Fabric = &campaign.FabricOptions{
@@ -315,6 +315,23 @@ func run(args []string) error {
 		fmt.Fprintln(os.Stderr, "swifi:", s)
 	}
 	return tf.WriteReport(rep, tel)
+}
+
+// validateIsolationFlags rejects isolation flags that would be silently
+// ignored. A fabric coordinator runs no units (each executor picks its own
+// -isolation), and the -proc-max-* budgets tune only the worker pool that
+// -isolation=proc starts.
+func validateIsolationFlags(fs *flag.FlagSet, procIsolation, coordinator bool) error {
+	if procIsolation && coordinator {
+		return fmt.Errorf("-isolation=proc applies where units run, and a -fabric-listen coordinator runs none (pass it to each -fabric-join executor)")
+	}
+	var err error
+	fs.Visit(func(f *flag.Flag) {
+		if !procIsolation && (f.Name == "proc-max-deliveries" || f.Name == "proc-max-restarts") {
+			err = fmt.Errorf("-%s tunes the worker pool of -isolation=proc, which is not set", f.Name)
+		}
+	})
+	return err
 }
 
 // reportInterrupt prints the partial per-mode tallies of an interrupted

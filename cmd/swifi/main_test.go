@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/telemetry"
@@ -77,5 +78,28 @@ func TestRunErrors(t *testing.T) {
 		if err := run([]string{"-isolation", "proc", flag, "-1", "table2"}); err == nil {
 			t.Errorf("negative %s accepted", flag)
 		}
+	}
+}
+
+// TestRunRejectsIgnoredIsolationFlags: isolation flags that cannot apply
+// are refused with an error that names where they do apply, instead of
+// being dropped while -report records them. table2 runs no campaign, so
+// a run that accepted the flags would finish at once.
+func TestRunRejectsIgnoredIsolationFlags(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-isolation", "proc", "-fabric-listen", "127.0.0.1:0", "table2"}, "-fabric-join"},
+		{[]string{"-proc-max-deliveries", "5", "table2"}, "-isolation=proc"},
+		{[]string{"-isolation", "inproc", "-proc-max-restarts", "5", "table2"}, "-isolation=proc"},
+	} {
+		err := run(tc.args)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("run(%q) = %v, want an error naming %s", tc.args, err, tc.want)
+		}
+	}
+	if err := run([]string{"-isolation", "proc", "-proc-max-deliveries", "5", "-proc-max-restarts", "5", "table2"}); err != nil {
+		t.Errorf("proc budgets with -isolation=proc refused: %v", err)
 	}
 }

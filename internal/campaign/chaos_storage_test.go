@@ -100,7 +100,7 @@ func TestStorageChaosPipeFaults(t *testing.T) {
 	}, chaos.NewMetrics(tel.Reg))
 	cfg := procConfig()
 	cfg.Telemetry = tel
-	cfg.Proc.WrapPipes = inj.WrapPipes
+	cfg.StorageChaos = inj
 	cfg.Proc.HeartbeatTimeout = 5 * time.Second
 	// Chaos at these rates mangles many deliveries; give the supervisor the
 	// headroom a chaos run deserves so no unit is quarantined for bad luck.

@@ -199,7 +199,7 @@ func fabricWithTracedExecutors(t *testing.T) (Config, func(int)) {
 		wg.Add(1)
 		go func(name string, tr *telemetry.Tracer) {
 			defer wg.Done()
-			joinUntilDone(ctx, t, addr, JoinOptions{Name: name, Workers: 2, Tracer: tr, NoFederation: true})
+			joinUntilDone(ctx, t, addr, JoinOptions{Name: name, Workers: 2, Tracer: tr, noFederation: true})
 		}(name, tracers[i])
 	}
 	stop := func() {

@@ -441,10 +441,9 @@ type unitExecutor struct {
 	// the campaign's verdicts — the coordinator merges those and traces
 	// them — so it traces only each unit's dispatched and executed events.
 	// skip, consulted as each unit is about to start, drops units revoked
-	// since the batch was cut; a positive pace floors each unit's wall time.
+	// since the batch was cut.
 	host bool
 	skip func(int) bool
-	pace time.Duration
 }
 
 func newUnitExecutor(o execOpts, units []runUnit) *unitExecutor {
@@ -469,7 +468,7 @@ func (e *unitExecutor) discard(w int) { e.pools[w] = nil }
 // runLocal is the in-process runFunc: todo fans out over the configured
 // workers, each unit runs with isolation, and each outcome is observed and
 // then delivered as it completes. The observability block is bracketed on
-// the instruments being nil, so the uninstrumented path pays three checks
+// the instruments being nil, so the uninstrumented path pays two checks
 // and no time.Now.
 func (e *unitExecutor) runLocal(ctx context.Context, todo []int, deliver func(worker.Result) error) error {
 	met, tr := e.opts.met, e.opts.tracer
@@ -480,7 +479,7 @@ func (e *unitExecutor) runLocal(ctx context.Context, todo []int, deliver func(wo
 		}
 		u := &e.units[i]
 		var start time.Time
-		if met != nil || tr != nil || e.pace > 0 {
+		if met != nil || tr != nil {
 			start = time.Now()
 			if tr != nil {
 				tr.Emit(traceUnit(telemetry.KindDispatched, i, u, w))
@@ -496,13 +495,6 @@ func (e *unitExecutor) runLocal(ctx context.Context, todo []int, deliver func(wo
 				met.unitLatency.Observe(uint64(dur.Microseconds()))
 			}
 			emitOutcomeTrace(tr, i, u, w, o, dur, !e.host)
-			if d := e.pace - dur; d > 0 {
-				select {
-				case <-ctx.Done():
-					return ctx.Err()
-				case <-time.After(d):
-				}
-			}
 		}
 		return deliver(worker.Result{Index: i, Outcome: o.journal()})
 	})

@@ -75,8 +75,8 @@ type Config struct {
 	// NoFastForward disables golden-run checkpointing: every injection
 	// reboots and replays its full fault-free prefix, as the pre-checkpoint
 	// executor did. The Result is identical either way (the fast path is an
-	// execution shortcut, not a semantic change); the knob exists for A/B
-	// benchmarking and as the reference in equivalence tests.
+	// execution shortcut, not a semantic change); the knob selects that
+	// straight path as the reference (swifi -no-ffwd, equivalence tests).
 	NoFastForward bool
 	// Ctx, when non-nil, allows graceful interruption: once it is
 	// cancelled no new injection starts, in-flight injections drain, and
@@ -121,10 +121,9 @@ type Config struct {
 	// StorageInjector): the journal is opened through its WrapFile hook by
 	// the CLI (JournalWrap), golden checkpoints are poisoned through
 	// PoisonCheckpoint, and proc-isolation pipes are mangled through
-	// WrapPipes unless Proc.WrapPipes is set.
-	// Like the network plane, it is a harness-abuse knob: the Result — and
-	// the canonicalized journal bytes — must stay bit-identical to a clean
-	// run.
+	// WrapPipes. Like the network plane, it is a harness-abuse knob: the
+	// Result — and the canonicalized journal bytes — must stay
+	// bit-identical to a clean run.
 	StorageChaos *chaos.Chaos
 }
 

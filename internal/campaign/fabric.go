@@ -63,11 +63,6 @@ type JoinOptions struct {
 	Isolation Isolation
 	// Proc tunes the local worker pool under IsolationProc.
 	Proc *ProcOptions
-	// UnitPace, when positive, floors each unit's wall time on this host —
-	// a fixed per-host service rate. Production paths leave it zero (run
-	// flat out); the loopback scaling benchmark sets it so N executors
-	// sharing one machine's CPU still model N independent hosts.
-	UnitPace time.Duration
 	// DialTimeout caps the initial connection establishment, retries
 	// included; ReconnectWindow caps re-establishment after a lost
 	// connection. Zero keeps the fabric defaults (10s / 60s).
@@ -84,17 +79,15 @@ type JoinOptions struct {
 	// coordinator's merged trace. Nil with federation on creates a private
 	// tracer so the merged trace still has a source.
 	Tracer *telemetry.Tracer
-	// NoFederation disables the telemetry federation plane: no snapshot or
-	// trace frames are pushed to the coordinator. Federation is passive and
-	// best-effort, so this switches observability only — it is the
-	// benchmark's A/B control, not a production knob.
-	NoFederation bool
-	// FederationInterval floors the time between periodic federation pushes
-	// (zero keeps the fabric default of 1s). Tests and benchmarks lower it
-	// to exercise the push path at heartbeat speed.
-	FederationInterval time.Duration
 	// Log receives per-session fabric events; nil silences them.
 	Log func(format string, args ...any)
+
+	// Test hooks. unitPace, when positive, holds each unit's worker for
+	// that long before its verdict is sent, so a loopback executor cannot
+	// take the whole campaign from a slower peer. noFederation pushes no
+	// telemetry to the coordinator, so its trace holds only its own events.
+	unitPace     time.Duration
+	noFederation bool
 }
 
 // JoinFabric connects to a campaign coordinator and serves assigned unit
@@ -113,7 +106,7 @@ func JoinFabric(ctx context.Context, addr string, opts JoinOptions) error {
 	reg := opts.Registry
 	tr := opts.Tracer
 	var fed *fabric.Federation
-	if !opts.NoFederation {
+	if !opts.noFederation {
 		if tr == nil {
 			tr = telemetry.NewTracer(telemetry.DefaultTraceCap)
 		}
@@ -127,22 +120,21 @@ func JoinFabric(ctx context.Context, addr string, opts JoinOptions) error {
 	inj := StorageInjector(opts.Chaos, reg)
 	golden.Shared.SetPoison(poisonHook(inj))
 	return fabric.Join(ctx, addr, fabric.ExecutorOptions{
-		Name:               opts.Name,
-		Workers:            workers,
-		DialTimeout:        opts.DialTimeout,
-		ReconnectWindow:    opts.ReconnectWindow,
-		WrapConn:           chaosWrap(opts.Chaos, reg),
-		Metrics:            fabric.NewExecutorMetrics(reg),
-		Federation:         fed,
-		FederationInterval: opts.FederationInterval,
-		Log:                opts.Log,
+		Name:            opts.Name,
+		Workers:         workers,
+		DialTimeout:     opts.DialTimeout,
+		ReconnectWindow: opts.ReconnectWindow,
+		WrapConn:        chaosWrap(opts.Chaos, reg),
+		Metrics:         fabric.NewExecutorMetrics(reg),
+		Federation:      fed,
+		Log:             opts.Log,
 		Batch: func(spec worker.Spec) (fabric.BatchRunner, error) {
 			ex, err := executorFromSpec(spec, "coordinator", workers)
 			if err != nil {
 				return nil, err
 			}
 			ex.opts.tracer = tr
-			ex.host, ex.pace = true, opts.UnitPace
+			ex.host = true
 			return &fabricBatchRunner{
 				ex:        ex,
 				spec:      spec,
@@ -150,6 +142,7 @@ func JoinFabric(ctx context.Context, addr string, opts JoinOptions) error {
 				proc:      opts.Proc,
 				storage:   inj,
 				met:       telemetry.NewWorkerMetrics(reg),
+				pace:      opts.unitPace,
 			}, nil
 		},
 	})
@@ -169,6 +162,7 @@ type fabricBatchRunner struct {
 	proc      *ProcOptions
 	storage   *chaos.Chaos
 	met       *telemetry.WorkerMetrics
+	pace      time.Duration // JoinOptions.unitPace
 }
 
 func (b *fabricBatchRunner) Units() int { return len(b.ex.units) }
@@ -179,7 +173,12 @@ func (b *fabricBatchRunner) Units() int { return len(b.ex.units) }
 // mid-batch steal can execute twice, and the coordinator's merge drops the
 // duplicate.
 func (b *fabricBatchRunner) RunBatch(ctx context.Context, batch []int, skip func(int) bool, emit func(int, journal.Outcome, []byte) error) error {
-	deliver := func(r worker.Result) error { return emit(r.Index, r.Outcome, r.Payload) }
+	deliver := func(r worker.Result) error {
+		if b.pace > 0 {
+			time.Sleep(b.pace)
+		}
+		return emit(r.Index, r.Outcome, r.Payload)
+	}
 	if b.isolation != IsolationProc {
 		b.ex.skip = skip
 		return b.ex.runLocal(ctx, batch, deliver)

@@ -252,7 +252,7 @@ func TestFabricProcExecutorMatchesSerial(t *testing.T) {
 	defer cancel()
 	var wg sync.WaitGroup
 	for _, opts := range []JoinOptions{
-		{Name: "exec-inproc", Workers: 2, UnitPace: 20 * time.Millisecond},
+		{Name: "exec-inproc", Workers: 2, unitPace: 20 * time.Millisecond},
 		{Name: "exec-proc", Workers: 2, Isolation: IsolationProc, Proc: procConfig().Proc},
 	} {
 		wg.Add(1)

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"os/exec"
 	"time"
@@ -69,13 +68,6 @@ type ProcOptions struct {
 	MaxRestarts       int
 	BackoffBase       time.Duration
 	BackoffMax        time.Duration
-
-	// WrapPipes, when non-nil, interposes on every worker subprocess's
-	// stdin/stdout pair — the storage/IPC chaos plane's hook for corrupting,
-	// truncating or severing supervisor pipes (see worker.Options.WrapPipes).
-	// nil takes the pipe faults of the campaign's storage chaos, if any
-	// (Config.StorageChaos; JoinOptions.Chaos on an executor host).
-	WrapPipes func(w io.WriteCloser, r io.Reader) (io.WriteCloser, io.Reader)
 }
 
 // SpecKindCampaign is the worker.Spec kind for class campaigns (§6).
@@ -223,8 +215,9 @@ func defaultSpawn() *exec.Cmd {
 // newProcPool builds the supervised worker pool behind IsolationProc, for a
 // campaign (executeUnitsProc) and a fabric executor host's batches alike:
 // o.workers slots serving spec, with o's unit timeout and tracer. po's zero
-// fields pick the worker package defaults; a nil Spawn re-executes this
-// binary in worker mode, and a nil WrapPipes takes storage's pipe faults.
+// fields pick the worker package defaults, and a nil Spawn re-executes this
+// binary in worker mode. The worker pipes carry storage's pipe faults, if
+// any (Config.StorageChaos; JoinOptions.Chaos on an executor host).
 func newProcPool(spec worker.Spec, o execOpts, po *ProcOptions, storage *chaos.Chaos, met *telemetry.WorkerMetrics) (*worker.Pool, error) {
 	if po == nil {
 		po = &ProcOptions{}
@@ -232,10 +225,6 @@ func newProcPool(spec worker.Spec, o execOpts, po *ProcOptions, storage *chaos.C
 	spawn := po.Spawn
 	if spawn == nil {
 		spawn = defaultSpawn
-	}
-	wrap := po.WrapPipes
-	if wrap == nil {
-		wrap = pipeWrap(storage)
 	}
 	return worker.NewPool(worker.Options{
 		Workers:           parallel.DefaultWorkers(o.workers),
@@ -249,7 +238,7 @@ func newProcPool(spec worker.Spec, o execOpts, po *ProcOptions, storage *chaos.C
 		BackoffBase:       po.BackoffBase,
 		BackoffMax:        po.BackoffMax,
 		Quarantine:        journal.Outcome{Mode: uint8(HostFault)},
-		WrapPipes:         wrap,
+		WrapPipes:         pipeWrap(storage),
 		Metrics:           met,
 		Tracer:            o.tracer,
 		Log: func(format string, args ...any) {

@@ -81,16 +81,17 @@ type ExecutorOptions struct {
 	// under backpressure, never blocking the verdict path, never
 	// retransmitted). Results are bit-identical with or without it.
 	Federation *Federation
-	// FederationInterval floors the time between periodic federation
-	// pushes (default 1s). Pushes piggyback on heartbeat ticks but must
-	// not amplify the wire's write rate: under chaos every write is a
-	// sever lottery, and a per-tick push at an aggressive heartbeat can
-	// turn a survivable link into a reconnect storm. Counters are
-	// cumulative, so a slower cadence costs staleness only; the final
-	// flush on shutdown ignores the floor.
-	FederationInterval time.Duration
 	// Log, when non-nil, receives one line per session event.
 	Log func(format string, args ...any)
+
+	// federationInterval floors the time between periodic federation
+	// pushes (default 1s; tests lower it to exercise the periodic path).
+	// Pushes piggyback on heartbeat ticks but must not amplify the wire's
+	// write rate: under chaos every write is a sever lottery, and a
+	// per-tick push at an aggressive heartbeat can turn a survivable link
+	// into a reconnect storm. Counters are cumulative, so a slower cadence
+	// costs staleness only; the final flush on shutdown ignores the floor.
+	federationInterval time.Duration
 }
 
 func (o *ExecutorOptions) logf(format string, args ...any) {
@@ -728,7 +729,7 @@ func (x *executor) maybeRetransmit(conn net.Conn) {
 // whatever the trace buffer holds — strictly best-effort. Periodic pushes
 // (final=false) only try-lock the write mutex: if the verdict path holds the
 // wire the push is dropped and counted, never queued, so federation can't
-// add latency to a verdict — and they are floored to FederationInterval so
+// add latency to a verdict — and they are floored to federationInterval so
 // an aggressive heartbeat never multiplies the wire's write rate (under
 // chaos, every extra write is another chance to sever the link). The final
 // push (on shutdown receipt) takes the lock for real and skips the floor so
@@ -741,7 +742,7 @@ func (x *executor) pushTelemetry(conn net.Conn, final bool) {
 		return
 	}
 	if !final {
-		interval := x.opts.FederationInterval
+		interval := x.opts.federationInterval
 		if interval <= 0 {
 			interval = time.Second
 		}

@@ -174,7 +174,7 @@ func TestFederationLoopback(t *testing.T) {
 				// Push at heartbeat speed so the periodic path (not just the
 				// final flush) is exercised.
 				Federation:         fed,
-				FederationInterval: time.Millisecond,
+				federationInterval: time.Millisecond,
 			})
 		}()
 	}
@@ -282,8 +282,7 @@ func TestFederationLoopback(t *testing.T) {
 }
 
 // TestFederationOffIsInert: with Federation unset nothing about the run
-// changes and no federated series appear — the A/B the overhead benchmark
-// relies on.
+// changes and no federated series appear.
 func TestFederationOffIsInert(t *testing.T) {
 	const units = 30
 	reg := telemetry.NewRegistry()
@@ -534,7 +533,7 @@ func TestFabricGoodbyeReceipt(t *testing.T) {
 					Workers:            2,
 					Batch:              inProcFactory(fakeFactory(units, 0), 2),
 					Federation:         NewFederation(nil, nil),
-					FederationInterval: time.Millisecond,
+					federationInterval: time.Millisecond,
 				})
 			}()
 		}

@@ -74,11 +74,6 @@ type Options struct {
 	BackoffBase time.Duration
 	BackoffMax  time.Duration
 
-	// MemQuota is the worker RSS self-recycle threshold in bytes
-	// (default 2GiB; negative disables). Workers check it on each
-	// heartbeat tick.
-	MemQuota int64
-
 	// Quarantine is the outcome recorded for a unit that exhausted
 	// MaxDeliveries.
 	Quarantine journal.Outcome
@@ -102,6 +97,10 @@ type Options struct {
 	// are identical with them on or off.
 	Metrics *telemetry.WorkerMetrics
 	Tracer  *telemetry.Tracer
+
+	// memQuota is the worker RSS self-recycle threshold in bytes (default
+	// 2GiB; tests lower it). Workers check it on each heartbeat tick.
+	memQuota uint64
 }
 
 func (o *Options) fill() {
@@ -129,8 +128,8 @@ func (o *Options) fill() {
 	if o.BackoffMax <= 0 {
 		o.BackoffMax = 5 * time.Second
 	}
-	if o.MemQuota == 0 {
-		o.MemQuota = 2 << 30
+	if o.memQuota == 0 {
+		o.memQuota = 2 << 30
 	}
 }
 
@@ -709,15 +708,11 @@ func spawn(opts *Options) (*liveWorker, error) {
 	w := &liveWorker{cmd: cmd, stdin: in, frames: make(chan frame, window), met: opts.Metrics}
 	go w.pump(out)
 
-	var memQuota uint64
-	if opts.MemQuota > 0 {
-		memQuota = uint64(opts.MemQuota)
-	}
 	if err := WriteFrameCRC(in, MsgHello, EncodeHello(Hello{
 		Version:           ProtocolVersion,
 		HeartbeatInterval: opts.HeartbeatInterval,
 		HeartbeatTimeout:  opts.HeartbeatTimeout,
-		MemQuota:          memQuota,
+		MemQuota:          opts.memQuota,
 		Spec:              opts.Spec,
 	})); err != nil {
 		w.kill()

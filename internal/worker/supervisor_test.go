@@ -464,7 +464,7 @@ func TestPoolMemQuotaSelfRecycle(t *testing.T) {
 	// tick; the next verdict is its last. Every unit completes, and the
 	// recycles are not churn: one counted restart would trip the breaker.
 	opts, met, logs := windowOptions(60, "SWIFI_WORKER_TEST_UNIT_US=2000")
-	opts.MemQuota = 1
+	opts.memQuota = 1
 	opts.MaxRestarts = 1
 	got, err := collect(t, opts, 60)
 	if err != nil {
