@@ -199,7 +199,7 @@ func BenchmarkSection5(b *testing.B) {
 			if em.NeedsTraps {
 				mode = injector.ModeTrap
 			}
-			rep, err := campaign.VerifyEmulation(p, em, campaign.StrategyFetchEveryExec, mode, ws)
+			rep, err := campaign.VerifyEmulation(p, em, campaign.StrategyFetchEveryExec, mode, ws, 0)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -245,14 +245,14 @@ func BenchmarkAblationBreakpointBudget(b *testing.B) {
 	}
 	b.Run("hardware-rejects", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := campaign.VerifyEmulation(p, em, campaign.StrategyFetchEveryExec, injector.ModeHardware, cases); err == nil {
+			if _, err := campaign.VerifyEmulation(p, em, campaign.StrategyFetchEveryExec, injector.ModeHardware, cases, 0); err == nil {
 				b.Fatal("hardware mode armed a 56-trigger fault")
 			}
 		}
 	})
 	b.Run("trap-runs", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			rep, err := campaign.VerifyEmulation(p, em, campaign.StrategyFetchEveryExec, injector.ModeTrap, cases)
+			rep, err := campaign.VerifyEmulation(p, em, campaign.StrategyFetchEveryExec, injector.ModeTrap, cases, 0)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -277,7 +277,7 @@ func BenchmarkAblationMechanism(b *testing.B) {
 	for _, s := range []campaign.Strategy{campaign.StrategyTextAtStart, campaign.StrategyFetchEveryExec} {
 		b.Run(s.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				rep, err := campaign.VerifyEmulation(p, em, s, injector.ModeHardware, cases)
+				rep, err := campaign.VerifyEmulation(p, em, s, injector.ModeHardware, cases, 0)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -51,6 +51,7 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"syscall"
@@ -126,7 +127,7 @@ func run(args []string) error {
 	if *procMaxRestarts < 0 {
 		return fmt.Errorf("-proc-max-restarts must not be negative, got %d (0 picks the default)", *procMaxRestarts)
 	}
-	if err := validateIsolationFlags(fs, procIsolation, fab.Listen != ""); err != nil {
+	if err := validateIsolationFlags(fs, procIsolation, fab.Listen != "", fs.Args()); err != nil {
 		return err
 	}
 	if err := hb.Validate(); err != nil {
@@ -319,9 +320,11 @@ func run(args []string) error {
 
 // validateIsolationFlags rejects isolation flags that would be silently
 // ignored. A fabric coordinator runs no units (each executor picks its own
-// -isolation), and the -proc-max-* budgets tune only the worker pool that
-// -isolation=proc starts.
-func validateIsolationFlags(fs *flag.FlagSet, procIsolation, coordinator bool) error {
+// -isolation), the -proc-max-* budgets tune only the worker pool that
+// -isolation=proc starts, and among the requested experiments ids only
+// those that run a campaign use either flag: -isolation=proc applies to
+// every §6 campaign, -fabric-listen to the main one (core.RunsCampaign).
+func validateIsolationFlags(fs *flag.FlagSet, procIsolation, coordinator bool, ids []string) error {
 	if procIsolation && coordinator {
 		return fmt.Errorf("-isolation=proc applies where units run, and a -fabric-listen coordinator runs none (pass it to each -fabric-join executor)")
 	}
@@ -331,7 +334,25 @@ func validateIsolationFlags(fs *flag.FlagSet, procIsolation, coordinator bool) e
 			err = fmt.Errorf("-%s tunes the worker pool of -isolation=proc, which is not set", f.Name)
 		}
 	})
-	return err
+	if err != nil || !procIsolation && !coordinator || len(ids) == 0 {
+		return err
+	}
+	name := "-isolation=proc"
+	if coordinator {
+		name = "-fabric-listen"
+	}
+	var users []string
+	for _, id := range core.ExperimentIDs() {
+		if main, side := core.RunsCampaign(id); main || side && !coordinator {
+			users = append(users, id)
+		}
+	}
+	for _, id := range ids {
+		if id == "all" || slices.Contains(users, id) {
+			return nil
+		}
+	}
+	return fmt.Errorf("%s applies only to experiments that run a campaign (%s); %q runs none", name, strings.Join(users, ", "), strings.Join(ids, " "))
 }
 
 // reportInterrupt prints the partial per-mode tallies of an interrupted

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"flag"
 	"os"
 	"path/filepath"
 	"strings"
@@ -99,7 +100,59 @@ func TestRunRejectsIgnoredIsolationFlags(t *testing.T) {
 			t.Errorf("run(%q) = %v, want an error naming %s", tc.args, err, tc.want)
 		}
 	}
-	if err := run([]string{"-isolation", "proc", "-proc-max-deliveries", "5", "-proc-max-restarts", "5", "table2"}); err != nil {
+	// A run that accepted these would start a campaign, so the accepted
+	// cases go to the validator alone.
+	if err := validateArgs(true, false, "-proc-max-deliveries", "5", "-proc-max-restarts", "5", "fig9"); err != nil {
 		t.Errorf("proc budgets with -isolation=proc refused: %v", err)
+	}
+}
+
+// validateArgs runs validateIsolationFlags over args parsed by a flag set
+// that knows the -proc-max-* flags.
+func validateArgs(procIsolation, coordinator bool, args ...string) error {
+	fs := flag.NewFlagSet("swifi", flag.ContinueOnError)
+	fs.Int("proc-max-deliveries", 0, "")
+	fs.Int("proc-max-restarts", 0, "")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	return validateIsolationFlags(fs, procIsolation, coordinator, fs.Args())
+}
+
+// TestRunRejectsIsolationWithoutCampaign: -isolation=proc and
+// -fabric-listen apply only where a campaign runs units. A request whose
+// experiments run none (verify, the studies, the static tables, and for
+// the fabric also hwcompare, which stays local) is refused with an error
+// naming the experiments that do, instead of running in-process while
+// -report records "proc", or never listening while executors dial.
+func TestRunRejectsIsolationWithoutCampaign(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-isolation", "proc", "-verify-cases", "5", "verify", "C.team4"}, "hwcompare"},
+		{[]string{"-isolation", "proc", "table2", "triggers", "mutation"}, "fig7"},
+		{[]string{"-fabric-listen", "127.0.0.1:0", "verify", "C.team4"}, "fig7"},
+		{[]string{"-fabric-listen", "127.0.0.1:0", "hwcompare"}, "table4"},
+	} {
+		err := run(tc.args)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("run(%q) = %v, want an error naming %s", tc.args, err, tc.want)
+		}
+	}
+	for _, tc := range []struct {
+		procIsolation, coordinator bool
+		ids                        []string
+	}{
+		{true, false, []string{"all"}},
+		{true, false, []string{"table2", "hwcompare"}},
+		{true, false, []string{"table1", "fig7", "triggers"}},
+		{false, true, []string{"all"}},
+		{false, true, []string{"table2", "fig10"}},
+		{false, false, []string{"verify", "C.team4"}},
+	} {
+		if err := validateArgs(tc.procIsolation, tc.coordinator, tc.ids...); err != nil {
+			t.Errorf("proc=%v coordinator=%v %q refused: %v", tc.procIsolation, tc.coordinator, tc.ids, err)
+		}
 	}
 }

@@ -81,7 +81,7 @@ func run() error {
 		}
 		mode := injector.ModeHardware
 		if em.NeedsTraps {
-			_, err := campaign.VerifyEmulation(p, em, campaign.StrategyFetchEveryExec, injector.ModeHardware, cases)
+			_, err := campaign.VerifyEmulation(p, em, campaign.StrategyFetchEveryExec, injector.ModeHardware, cases, 0)
 			if errors.Is(err, injector.ErrOutOfBreakpoints) {
 				fmt.Printf("hardware triggers: REFUSED — %d trigger addresses exceed the %d breakpoint\n",
 					em.Triggers, vm.NumIABR)
@@ -89,7 +89,7 @@ func run() error {
 			}
 			mode = injector.ModeTrap
 		}
-		rep, err := campaign.VerifyEmulation(p, em, campaign.StrategyFetchEveryExec, mode, cases)
+		rep, err := campaign.VerifyEmulation(p, em, campaign.StrategyFetchEveryExec, mode, cases, 0)
 		if err != nil {
 			return err
 		}

@@ -106,78 +106,6 @@ func TestFastForwardMatchesStraightRun(t *testing.T) {
 	t.Logf("%d units skipped %d cycles of periodic hang tail", met.loopSkips.Value(), met.cyclesSkipped.Value())
 }
 
-// TestFigure7FastForwardDeepEqual is the campaign-level form of the same
-// claim, at the Figure 7 shape (assignment class, every Table 4 program):
-// the Result of the checkpointed executor is deep-equal to the Result of
-// the full-replay executor.
-func TestFigure7FastForwardDeepEqual(t *testing.T) {
-	if testing.Short() {
-		t.Skip("campaign A/B comparison is slow")
-	}
-	chosen := map[string]int{
-		"C.team1": 2, "C.team2": 2, "C.team8": 2, "C.team9": 2,
-		"C.team10": 2, "JB.team6": 2, "JB.team11": 2, "SOR": 3,
-	}
-	base := Config{
-		Classes:       []fault.Class{fault.ClassAssignment},
-		CasesPerFault: 2,
-		ChosenAssign:  chosen,
-		Seed:          7,
-		Workers:       1,
-	}
-	fastCfg := base
-	fast, err := Run(fastCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	straightCfg := base
-	straightCfg.NoFastForward = true
-	straight, err := Run(straightCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(fast, straight) {
-		t.Fatalf("checkpointed Result differs from full-replay Result:\nfast:     %+v\nstraight: %+v", fast, straight)
-	}
-	if !reflect.DeepEqual(fast.ByProgram(fault.ClassAssignment), straight.ByProgram(fault.ClassAssignment)) {
-		t.Fatal("Figure 7 aggregation differs between checkpointed and full-replay executors")
-	}
-}
-
-// TestCheckpointedDeterminismAcrossWorkers runs the same checkpointed
-// campaign serially and with 8 workers and requires bit-identical Results,
-// while confirming the golden store actually served records (the fast path
-// was exercised, not silently skipped).
-func TestCheckpointedDeterminismAcrossWorkers(t *testing.T) {
-	golden.Shared.Purge()
-	cfg := Config{
-		Programs:      []string{"JB.team6", "SOR"},
-		Classes:       []fault.Class{fault.ClassAssignment, fault.ClassChecking},
-		CasesPerFault: 3,
-		Seed:          23,
-		Workers:       1,
-	}
-	serial, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	records, checkpoints, _ := golden.Shared.Stats()
-	if records == 0 {
-		t.Fatal("campaign ran without recording any golden runs; the checkpointed path was not exercised")
-	}
-	if checkpoints == 0 {
-		t.Fatal("golden records carry no checkpoints")
-	}
-	cfg.Workers = 8
-	wide, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(serial, wide) {
-		t.Fatalf("Workers=1 and Workers=8 diverge on the checkpointed path:\nserial: %+v\nwide:   %+v", serial, wide)
-	}
-}
-
 // TestRunCleanBatchMatchesRunClean pins the pooled batch path to a
 // one-machine-per-run reference built here, including over a faulty binary
 // where outputs deviate.

@@ -281,16 +281,10 @@ func applyStrategy(c *cc.Compiled, f *fault.Fault, s Strategy) (*fault.Fault, er
 // VerifyEmulation runs the faulty binary and the corrected-binary-plus-
 // injection side by side over the cases and counts exact behavioural
 // matches ("if the results are the same in both runs it means Xception do
-// emulate the fault accurately"). The case pairs fan out over
-// runtime.GOMAXPROCS(0) workers; see VerifyEmulationWorkers.
-func VerifyEmulation(p *programs.Program, em *Emulation, s Strategy, mode injector.Mode, cases []workload.Case) (*EquivalenceReport, error) {
-	return VerifyEmulationWorkers(p, em, s, mode, cases, 0)
-}
-
-// VerifyEmulationWorkers is VerifyEmulation with an explicit worker count
-// (0 selects runtime.GOMAXPROCS(0), 1 the serial path): CompareEmulations
-// of the one pair (faulty binary, strategy-applied emulation).
-func VerifyEmulationWorkers(p *programs.Program, em *Emulation, s Strategy, mode injector.Mode, cases []workload.Case, workers int) (*EquivalenceReport, error) {
+// emulate the fault accurately"): CompareEmulations of the one pair (faulty
+// binary, strategy-applied emulation), fanned out over workers (0 selects
+// runtime.GOMAXPROCS(0), 1 the serial path).
+func VerifyEmulation(p *programs.Program, em *Emulation, s Strategy, mode injector.Mode, cases []workload.Case, workers int) (*EquivalenceReport, error) {
 	if em.Fault == nil {
 		return nil, fmt.Errorf("campaign: %s is not emulable", p.Name)
 	}

@@ -76,7 +76,7 @@ func TestEmulationEquivalence(t *testing.T) {
 		cases := campaign.ExposingCases(t, p)
 		for _, s := range []campaign.Strategy{campaign.StrategyTextAtStart, campaign.StrategyFetchEveryExec} {
 			t.Run(name+"/"+s.String(), func(t *testing.T) {
-				rep, err := campaign.VerifyEmulation(p, em, s, injector.ModeHardware, cases)
+				rep, err := campaign.VerifyEmulation(p, em, s, injector.ModeHardware, cases, 0)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -106,14 +106,14 @@ func TestStackShiftEmulation(t *testing.T) {
 	cases := campaign.ExposingCases(t, p)
 
 	// Hardware mode must refuse to arm it.
-	_, err = campaign.VerifyEmulation(p, em, campaign.StrategyFetchEveryExec, injector.ModeHardware, cases)
+	_, err = campaign.VerifyEmulation(p, em, campaign.StrategyFetchEveryExec, injector.ModeHardware, cases, 0)
 	if !errors.Is(err, injector.ErrOutOfBreakpoints) {
 		t.Fatalf("hardware mode: got %v, want ErrOutOfBreakpoints", err)
 	}
 
 	// Trap mode reproduces the faulty behaviour exactly, including the
 	// rare 80-character negative-seed failures.
-	rep, err := campaign.VerifyEmulation(p, em, campaign.StrategyFetchEveryExec, injector.ModeTrap, cases)
+	rep, err := campaign.VerifyEmulation(p, em, campaign.StrategyFetchEveryExec, injector.ModeTrap, cases, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestAlgorithmFaultsNotEmulable(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := campaign.VerifyEmulation(p, em, campaign.StrategyFetchEveryExec, injector.ModeHardware, contest); err == nil {
+		if _, err := campaign.VerifyEmulation(p, em, campaign.StrategyFetchEveryExec, injector.ModeHardware, contest, 0); err == nil {
 			t.Errorf("%s: VerifyEmulation accepted a nil fault", name)
 		}
 	}

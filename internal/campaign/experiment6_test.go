@@ -7,20 +7,8 @@ import (
 	"repro/internal/fault"
 )
 
-// smallCfg keeps campaign tests fast: two small programs, few locations,
-// few cases.
-func smallCfg() campaign.Config {
-	return campaign.Config{
-		Programs:      []string{"JB.team11", "JB.team6"},
-		CasesPerFault: 4,
-		ChosenAssign:  map[string]int{"JB.team11": 3, "JB.team6": 3},
-		ChosenCheck:   map[string]int{"JB.team11": 3, "JB.team6": 3},
-		Seed:          5,
-	}
-}
-
 func TestClassCampaignSmall(t *testing.T) {
-	res, err := campaign.Run(smallCfg())
+	res, err := campaign.Run(campaign.SmallConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,35 +50,8 @@ func TestClassCampaignSmall(t *testing.T) {
 	}
 }
 
-func TestClassCampaignDeterministic(t *testing.T) {
-	cfg := smallCfg()
-	cfg.Programs = []string{"JB.team11"}
-	a, err := campaign.Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := campaign.Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a.Entries) != len(b.Entries) {
-		t.Fatalf("entry counts differ: %d vs %d", len(a.Entries), len(b.Entries))
-	}
-	for i := range a.Entries {
-		ea, eb := a.Entries[i], b.Entries[i]
-		if ea.Program != eb.Program || ea.ErrType != eb.ErrType || ea.Runs != eb.Runs {
-			t.Fatalf("entry %d differs: %+v vs %+v", i, ea, eb)
-		}
-		for m, n := range ea.Counts {
-			if eb.Counts[m] != n {
-				t.Errorf("entry %d mode %v: %d vs %d", i, m, n, eb.Counts[m])
-			}
-		}
-	}
-}
-
 func TestCampaignAggregations(t *testing.T) {
-	res, err := campaign.Run(smallCfg())
+	res, err := campaign.Run(campaign.SmallConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +90,7 @@ func TestCampaignAggregations(t *testing.T) {
 // faults — only a small share of runs stays correct, far below the ≥94%
 // correct rate of every faulty program in Table 1.
 func TestInjectedFaultsHitHard(t *testing.T) {
-	cfg := smallCfg()
+	cfg := campaign.SmallConfig()
 	cfg.CasesPerFault = 6
 	res, err := campaign.Run(cfg)
 	if err != nil {
@@ -184,7 +145,7 @@ func TestHardwareClassCampaign(t *testing.T) {
 }
 
 func TestMetricGuidedCampaign(t *testing.T) {
-	cfg := smallCfg()
+	cfg := campaign.SmallConfig()
 	cfg.Programs = []string{"JB.team6"}
 	cfg.MetricGuided = true
 	guided, err := campaign.Run(cfg)
@@ -215,7 +176,7 @@ func TestMetricGuidedCampaign(t *testing.T) {
 // built for: with the fault types held fixed, softer triggers (one-shot,
 // late activation) leave more runs correct than the always-on §6 trigger.
 func TestTriggerStudy(t *testing.T) {
-	res, err := campaign.RunTriggerStudy("JB.team11", 3, 8, 5)
+	res, err := campaign.RunTriggerStudy("JB.team11", 3, 8, 5, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +197,7 @@ func TestTriggerStudy(t *testing.T) {
 	if late.Activated >= always.Activated {
 		t.Errorf("late activation fired in %d runs, always-on in %d; expected fewer", late.Activated, always.Activated)
 	}
-	if _, err := campaign.RunTriggerStudy("nope", 1, 1, 1); err == nil {
+	if _, err := campaign.RunTriggerStudy("nope", 1, 1, 1, 0); err == nil {
 		t.Error("unknown program accepted")
 	}
 }

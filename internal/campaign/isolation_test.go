@@ -17,15 +17,6 @@ func withUnitHook(t *testing.T, hook func(u *runUnit, attempt int)) {
 	t.Cleanup(func() { testUnitHook = nil })
 }
 
-func isolationConfig() Config {
-	return Config{
-		Programs:      []string{"JB.team11"},
-		CasesPerFault: 2,
-		Seed:          3,
-		Workers:       4,
-	}
-}
-
 // TestHostPanicRetriedOnFreshMachine: a panic on the first attempt of every
 // unit must be absorbed by one retry on a fresh machine, leaving a complete
 // campaign with true outcomes and Retried accounting — no HostFaults.
@@ -118,24 +109,4 @@ func TestUnitTimeoutQuarantined(t *testing.T) {
 	if hostFaults != 1 {
 		t.Errorf("entries count %d HostFault verdicts, want 1", hostFaults)
 	}
-}
-
-// sameEntries compares two Results' entries field by field, ignoring Exec.
-func sameEntries(a, b *Result) bool {
-	if len(a.Entries) != len(b.Entries) || a.Runs != b.Runs {
-		return false
-	}
-	for i := range a.Entries {
-		x, y := &a.Entries[i], &b.Entries[i]
-		if x.Program != y.Program || x.Class != y.Class || x.ErrType != y.ErrType ||
-			x.Runs != y.Runs || x.Activated != y.Activated || len(x.Counts) != len(y.Counts) {
-			return false
-		}
-		for m, n := range x.Counts {
-			if y.Counts[m] != n {
-				return false
-			}
-		}
-	}
-	return true
 }

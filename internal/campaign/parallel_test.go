@@ -11,50 +11,6 @@ import (
 	"repro/internal/workload"
 )
 
-// TestCampaignParallelDeterminism is the §6 determinism gate: a scaled-down
-// class campaign must produce a deep-equal Result — Entries, Plans and
-// Runs — whether it executes serially or fanned out over eight workers.
-// All randomness lives in planning, which is serial and seeded; execution
-// only fills per-unit result slots, so the schedule cannot leak into the
-// Result.
-func TestCampaignParallelDeterminism(t *testing.T) {
-	// The JamesB pair keeps the test fast (the guarantee is structural,
-	// not per-program: execution order cannot reach the Result for any
-	// target). Both fault classes and all Table 3 error types are in play.
-	base := campaign.Config{
-		Programs:      []string{"JB.team11", "JB.team6"},
-		CasesPerFault: 20,
-		Seed:          2000,
-	}
-
-	serial := base
-	serial.Workers = 1
-	a, err := campaign.Run(serial)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	fanned := base
-	fanned.Workers = 8
-	b, err := campaign.Run(fanned)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if !reflect.DeepEqual(a.Entries, b.Entries) {
-		t.Errorf("Entries differ between 1 and 8 workers:\nserial:   %+v\nparallel: %+v", a.Entries, b.Entries)
-	}
-	if !reflect.DeepEqual(a.Plans, b.Plans) {
-		t.Errorf("Plans differ between 1 and 8 workers:\nserial:   %+v\nparallel: %+v", a.Plans, b.Plans)
-	}
-	if a.Runs != b.Runs {
-		t.Errorf("Runs differ: serial %d, parallel %d", a.Runs, b.Runs)
-	}
-	if a.Runs == 0 {
-		t.Fatal("campaign executed zero runs; the determinism check is vacuous")
-	}
-}
-
 // TestVerifyEmulationParallelDeterminism is the §5 determinism gate: the
 // equivalence verification of a real-fault emulation must count the same
 // Equivalent/FaultShown totals for any worker count.
@@ -71,11 +27,11 @@ func TestVerifyEmulationParallelDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := campaign.VerifyEmulationWorkers(p, em, campaign.StrategyFetchEveryExec, injector.ModeHardware, cases, 1)
+	a, err := campaign.VerifyEmulation(p, em, campaign.StrategyFetchEveryExec, injector.ModeHardware, cases, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := campaign.VerifyEmulationWorkers(p, em, campaign.StrategyFetchEveryExec, injector.ModeHardware, cases, 8)
+	b, err := campaign.VerifyEmulation(p, em, campaign.StrategyFetchEveryExec, injector.ModeHardware, cases, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,11 +43,11 @@ func TestVerifyEmulationParallelDeterminism(t *testing.T) {
 // TestTriggerStudyParallelDeterminism covers the third executor client: the
 // per-policy failure-mode distributions must be schedule-independent.
 func TestTriggerStudyParallelDeterminism(t *testing.T) {
-	a, err := campaign.RunTriggerStudyWorkers("JB.team11", 3, 8, 5, 1)
+	a, err := campaign.RunTriggerStudy("JB.team11", 3, 8, 5, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := campaign.RunTriggerStudyWorkers("JB.team11", 3, 8, 5, 8)
+	b, err := campaign.RunTriggerStudy("JB.team11", 3, 8, 5, 8)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,164 +1,12 @@
 package campaign_test
 
 import (
-	"context"
-	"errors"
 	"path/filepath"
-	"reflect"
 	"testing"
 
 	"repro/internal/campaign"
 	"repro/internal/journal"
 )
-
-// resumeBase is the scaled-down campaign the crash-safety properties are
-// proved on. Small enough to run many times, large enough that killing it
-// after a handful of units leaves real work for the resume.
-func resumeBase() campaign.Config {
-	return campaign.Config{
-		Programs:      []string{"JB.team11"},
-		CasesPerFault: 4,
-		Seed:          11,
-	}
-}
-
-// TestResumeAfterKillBitIdentical is the tentpole property: a journaled
-// campaign killed after K units and resumed — under the same or a different
-// worker count — produces a Result deep-equal to an uninterrupted run. The
-// kill is simulated by cancelling the campaign context from the journal's
-// append hook, which is strictly harsher than a SIGINT (it fires mid-flight
-// at an arbitrary unit boundary).
-func TestResumeAfterKillBitIdentical(t *testing.T) {
-	ref, err := campaign.Run(resumeBase())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ref.Runs < 30 {
-		t.Fatalf("reference campaign ran only %d units; the kill points below need more room", ref.Runs)
-	}
-
-	for _, tc := range []struct {
-		kill, killWorkers, resumeWorkers int
-	}{
-		{1, 1, 4},  // die almost immediately, serial, resume fanned out
-		{7, 4, 1},  // die mid-flight fanned out, resume serial
-		{25, 4, 4}, // die late, same fan-out
-	} {
-		dir := t.TempDir()
-		path := filepath.Join(dir, "run.wal")
-
-		j, err := journal.Create(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ctx, cancel := context.WithCancel(context.Background())
-		j.OnAppend = func(done int) {
-			if done >= tc.kill {
-				cancel()
-			}
-		}
-		cfg := resumeBase()
-		cfg.Workers = tc.killWorkers
-		cfg.Ctx = ctx
-		cfg.Journal = j
-		_, err = campaign.Run(cfg)
-		cancel()
-		var ie *campaign.InterruptedError
-		if !errors.As(err, &ie) {
-			t.Fatalf("kill=%d: interrupted run returned %v, want *InterruptedError", tc.kill, err)
-		}
-		if ie.Done < tc.kill || ie.Done >= ie.Total {
-			t.Fatalf("kill=%d: interrupted after %d/%d units", tc.kill, ie.Done, ie.Total)
-		}
-		if ie.Partial == nil || ie.Partial.Runs != ie.Done {
-			t.Fatalf("kill=%d: partial result counts %v runs, want %d", tc.kill, ie.Partial, ie.Done)
-		}
-		if err := j.Close(); err != nil {
-			t.Fatal(err)
-		}
-
-		// Resume from the journal; no cancellation this time.
-		j2, err := journal.Open(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if j2.Len() < tc.kill {
-			t.Fatalf("kill=%d: journal replays only %d units", tc.kill, j2.Len())
-		}
-		cfg2 := resumeBase()
-		cfg2.Workers = tc.resumeWorkers
-		cfg2.Journal = j2
-		replayed := j2.Len()
-		res, err := campaign.Run(cfg2)
-		if err != nil {
-			t.Fatalf("kill=%d: resume failed: %v", tc.kill, err)
-		}
-		j2.Close()
-
-		// Exec.Replayed is execution provenance — how many outcomes came from
-		// the journal this run — so it is the one field allowed (required, in
-		// fact) to differ from the uninterrupted reference.
-		if res.Exec.Replayed != replayed {
-			t.Errorf("kill=%d: resumed run reports %d replayed units, journal held %d", tc.kill, res.Exec.Replayed, replayed)
-		}
-		norm := *res
-		norm.Exec.Replayed = 0
-		if !reflect.DeepEqual(&norm, ref) {
-			t.Errorf("kill=%d workers=%d→%d: resumed Result differs from the uninterrupted run:\nresumed: %+v\nref:     %+v",
-				tc.kill, tc.killWorkers, tc.resumeWorkers, res, ref)
-		}
-	}
-}
-
-// TestJournaledRunMatchesPlain pins the no-crash case: journaling a campaign
-// (and then replaying the complete journal) must not change its Result.
-func TestJournaledRunMatchesPlain(t *testing.T) {
-	ref, err := campaign.Run(resumeBase())
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "run.wal")
-	j, err := journal.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := resumeBase()
-	cfg.Workers = 4
-	cfg.Journal = j
-	res, err := campaign.Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(res, ref) {
-		t.Errorf("journaled run differs from plain run:\njournaled: %+v\nplain:     %+v", res, ref)
-	}
-	if j.Len() != ref.Runs {
-		t.Errorf("journal holds %d records after a complete run of %d units", j.Len(), ref.Runs)
-	}
-	j.Close()
-
-	// Replaying the complete journal executes nothing and reproduces the
-	// Result exactly.
-	j2, err := journal.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j2.Close()
-	cfg2 := resumeBase()
-	cfg2.Journal = j2
-	replay, err := campaign.Run(cfg2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if replay.Exec.Replayed != ref.Runs {
-		t.Errorf("full-journal replay reports %d replayed units, want all %d", replay.Exec.Replayed, ref.Runs)
-	}
-	norm := *replay
-	norm.Exec.Replayed = 0
-	if !reflect.DeepEqual(&norm, ref) {
-		t.Errorf("full-journal replay differs from plain run:\nreplay: %+v\nplain:  %+v", replay, ref)
-	}
-}
 
 // TestJournalRejectsForeignPlan: a journal written by one campaign plan must
 // refuse to resume a different plan (here: a different seed).
@@ -168,7 +16,7 @@ func TestJournalRejectsForeignPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := resumeBase()
+	cfg := campaign.ResumeConfig()
 	cfg.Journal = j
 	if _, err := campaign.Run(cfg); err != nil {
 		t.Fatal(err)
@@ -180,7 +28,7 @@ func TestJournalRejectsForeignPlan(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer j2.Close()
-	other := resumeBase()
+	other := campaign.ResumeConfig()
 	other.Seed = 12
 	other.Journal = j2
 	if _, err := campaign.Run(other); err == nil {

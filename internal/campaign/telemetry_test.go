@@ -1,10 +1,8 @@
 package campaign_test
 
 import (
-	"bytes"
 	"os"
 	"path/filepath"
-	"reflect"
 	"testing"
 
 	"repro/internal/campaign"
@@ -12,52 +10,6 @@ import (
 	"repro/internal/journal"
 	"repro/internal/telemetry"
 )
-
-// fullTelemetry builds a Telemetry handle with every plane enabled: a
-// registry, a tracer sinking JSONL to a temp file, and a non-TTY progress
-// line into a discarded buffer.
-func fullTelemetry(t *testing.T) (*telemetry.Telemetry, string) {
-	t.Helper()
-	path := filepath.Join(t.TempDir(), "trace.jsonl")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := telemetry.NewTracer(telemetry.DefaultTraceCap)
-	tr.SinkJSONL(f)
-	var buf bytes.Buffer
-	return &telemetry.Telemetry{
-		Reg:      telemetry.NewRegistry(),
-		Trace:    tr,
-		Progress: telemetry.NewProgress(&buf, false, 0),
-	}, path
-}
-
-// TestTelemetryDoesNotChangeResults is the acceptance property: a campaign
-// observed by every telemetry plane produces a Result bit-identical to the
-// same campaign with telemetry off.
-func TestTelemetryDoesNotChangeResults(t *testing.T) {
-	cfg := resumeBase()
-	ref, err := campaign.Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	tel, _ := fullTelemetry(t)
-	cfg2 := resumeBase()
-	cfg2.Workers = 4
-	cfg2.Telemetry = tel
-	res, err := campaign.Run(cfg2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tel.Trace.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(res, ref) {
-		t.Errorf("telemetry changed the Result:\nobserved: %+v\nplain:    %+v", res, ref)
-	}
-}
 
 // TestTelemetryCountersMatchResult cross-checks the live counters against
 // the Result they observed: done units, per-mode verdicts, fast-forward
@@ -67,8 +19,8 @@ func TestTelemetryCountersMatchResult(t *testing.T) {
 	// it cold so golden_runs_total deterministically counts this campaign's
 	// golden runs (they are rebuilt on demand, so other tests are unharmed).
 	golden.Shared.Purge()
-	tel, _ := fullTelemetry(t)
-	cfg := resumeBase()
+	tel, _ := campaign.FullTelemetry(t)
+	cfg := campaign.ResumeConfig()
 	cfg.Telemetry = tel
 	res, err := campaign.Run(cfg)
 	if err != nil {
@@ -138,8 +90,8 @@ func TestTelemetryCountersMatchResult(t *testing.T) {
 // lifecycle per unit: planned, dispatched, executed and verdict counts all
 // equal the number of units.
 func TestTelemetryTraceLifecycle(t *testing.T) {
-	tel, path := fullTelemetry(t)
-	cfg := resumeBase()
+	tel, path := campaign.FullTelemetry(t)
+	cfg := campaign.ResumeConfig()
 	cfg.Telemetry = tel
 	res, err := campaign.Run(cfg)
 	if err != nil {
@@ -182,7 +134,7 @@ func TestTelemetryResumeSurfacesReplayed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := resumeBase()
+	cfg := campaign.ResumeConfig()
 	cfg.Journal = j
 	ref, err := campaign.Run(cfg)
 	if err != nil {
@@ -195,8 +147,8 @@ func TestTelemetryResumeSurfacesReplayed(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer j2.Close()
-	tel, _ := fullTelemetry(t)
-	cfg2 := resumeBase()
+	tel, _ := campaign.FullTelemetry(t)
+	cfg2 := campaign.ResumeConfig()
 	cfg2.Journal = j2
 	cfg2.Telemetry = tel
 	res, err := campaign.Run(cfg2)
@@ -233,7 +185,7 @@ func TestTelemetryResumeSurfacesReplayed(t *testing.T) {
 
 // TestFillReportTallies pins the report's tally shape on a plain run.
 func TestFillReportTallies(t *testing.T) {
-	res, err := campaign.Run(resumeBase())
+	res, err := campaign.Run(campaign.ResumeConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

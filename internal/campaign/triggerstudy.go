@@ -48,19 +48,12 @@ type TriggerStudyResult struct {
 
 // RunTriggerStudy injects the same fault set (assignment plus checking,
 // nLocs locations each) under every policy and collects the failure-mode
-// distributions, fanning runs over runtime.GOMAXPROCS(0) workers; see
-// RunTriggerStudyWorkers.
-func RunTriggerStudy(programName string, nLocs, nCases int, seed int64) (*TriggerStudyResult, error) {
-	return RunTriggerStudyWorkers(programName, nLocs, nCases, seed, 0)
-}
-
-// RunTriggerStudyWorkers is RunTriggerStudy with an explicit worker count
-// (0 selects runtime.GOMAXPROCS(0), 1 the serial path). Planning — fault
-// selection and the per-policy trigger rewrites — stays serial; the
-// (policy, fault, case) runs execute through the shared campaign executor
-// with outcomes merged in planning order, so the distributions are
-// identical for any worker count.
-func RunTriggerStudyWorkers(programName string, nLocs, nCases int, seed int64, workers int) (*TriggerStudyResult, error) {
+// distributions over workers (0 selects runtime.GOMAXPROCS(0), 1 the serial
+// path). Planning — fault selection and the per-policy trigger rewrites —
+// stays serial; the (policy, fault, case) runs execute through the shared
+// campaign executor with outcomes merged in planning order, so the
+// distributions are identical for any worker count.
+func RunTriggerStudy(programName string, nLocs, nCases int, seed int64, workers int) (*TriggerStudyResult, error) {
 	p, ok := programs.ByName(programName)
 	if !ok {
 		return nil, fmt.Errorf("campaign: unknown program %q", programName)

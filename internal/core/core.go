@@ -116,9 +116,32 @@ func ExperimentIDs() []string {
 	}
 }
 
+// campaignTables render the experiments drawn from the main §6 campaign,
+// the one campaign that Journal and Fabric attach to.
+var campaignTables = map[string]func(*campaign.Result) *stats.Table{
+	"table4": stats.Table4, "fig2": stats.Figure2, "fig7": stats.Figure7,
+	"fig8": stats.Figure8, "fig9": stats.Figure9, "fig10": stats.Figure10,
+}
+
+// RunsCampaign says which §6 class campaign experiment id runs: main for
+// the experiments drawn from the main campaign, side for hwcompare's local
+// one. Isolation applies to both, Fabric to the main campaign only; every
+// other experiment runs in-process.
+func RunsCampaign(id string) (main, side bool) {
+	_, main = campaignTables[id]
+	return main, id == "hwcompare"
+}
+
 // Experiment regenerates one table or figure by its paper identifier and
 // returns the rendered text report.
 func (e *Engine) Experiment(id string) (string, error) {
+	if render, ok := campaignTables[id]; ok {
+		res, err := e.CampaignResult()
+		if err != nil {
+			return "", err
+		}
+		return render(res).Render(), nil
+	}
 	switch id {
 	case "table1":
 		rows, err := e.Table1Rows()
@@ -130,42 +153,6 @@ func (e *Engine) Experiment(id string) (string, error) {
 		return stats.Table2().Render(), nil
 	case "table3":
 		return stats.Table3().Render(), nil
-	case "table4":
-		res, err := e.CampaignResult()
-		if err != nil {
-			return "", err
-		}
-		return stats.Table4(res).Render(), nil
-	case "fig2":
-		res, err := e.CampaignResult()
-		if err != nil {
-			return "", err
-		}
-		return stats.Figure2(res).Render(), nil
-	case "fig7":
-		res, err := e.CampaignResult()
-		if err != nil {
-			return "", err
-		}
-		return stats.Figure7(res).Render(), nil
-	case "fig8":
-		res, err := e.CampaignResult()
-		if err != nil {
-			return "", err
-		}
-		return stats.Figure8(res).Render(), nil
-	case "fig9":
-		res, err := e.CampaignResult()
-		if err != nil {
-			return "", err
-		}
-		return stats.Figure9(res).Render(), nil
-	case "fig10":
-		res, err := e.CampaignResult()
-		if err != nil {
-			return "", err
-		}
-		return stats.Figure10(res).Render(), nil
 	case "summary5":
 		sum, err := campaign.BuildSection5Summary()
 		if err != nil {
@@ -323,7 +310,7 @@ func (e *Engine) TriggerStudy() (string, error) {
 	if cases < 5 {
 		cases = 5
 	}
-	res, err := campaign.RunTriggerStudyWorkers("JB.team6", 4, cases, e.Seed, e.Workers)
+	res, err := campaign.RunTriggerStudy("JB.team6", 4, cases, e.Seed, e.Workers)
 	if err != nil {
 		return "", err
 	}
@@ -412,7 +399,7 @@ func (e *Engine) VerifyRealFault(name string, cases int) (string, error) {
 		fmt.Fprintf(&sb, "fault needs %d triggers > %d breakpoint registers: falling back to trap insertion\n",
 			em.Triggers, vm.NumIABR)
 	}
-	rep, err := campaign.VerifyEmulationWorkers(p, em, campaign.StrategyFetchEveryExec, mode, ws, e.Workers)
+	rep, err := campaign.VerifyEmulation(p, em, campaign.StrategyFetchEveryExec, mode, ws, e.Workers)
 	if err != nil {
 		return "", err
 	}

@@ -8,8 +8,8 @@
 #   2. The journal fuzzer: arbitrary bytes against the journal loader,
 #      seeded from real journal files. SWIFI_FUZZ_FOR overrides the
 #      budget.
-#   3. The storage smoke: ENOSPC + SIGKILL + resume + pipe chaos through
-#      the real binary (scripts/disk_chaos_smoke.sh).
+#   3. The disk-chaos drill: ENOSPC + SIGKILL + resume + pipe chaos through
+#      the real binary (scripts/drill.sh disk-chaos).
 #
 # Wire this into the nightly CI job; a clean exit means every drill passed.
 set -euo pipefail
@@ -21,6 +21,6 @@ SWIFI_SOAK=1 SWIFI_SOAK_FOR="${SWIFI_SOAK_FOR:-2m}" \
 go test ./internal/journal/ -run=NONE -fuzz 'FuzzJournalOpen' \
   -fuzztime "${SWIFI_FUZZ_FOR:-60s}" -timeout 30m
 
-scripts/disk_chaos_smoke.sh
+scripts/drill.sh disk-chaos
 
 echo "nightly soak passed"
